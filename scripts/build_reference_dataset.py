@@ -1,9 +1,11 @@
 """Rebuild the bundled dataset and golden CLI outputs.
 
 Reconstructs integer monthly counts for both journals from the published
-share tables, writes them as data/journal_counts.csv, and regenerates the
-golden documents in data/golden/{jscs,entropy}/ by running the CLI on that
-file with default options. Run from the repository root:
+share tables and writes them as data/journal_counts.csv. Then regenerates
+every golden set in data/golden/ in all three output formats by running the
+CLI as `refvalues.GOLDEN_RUNS` lists: jscs and entropy on that file with
+default options, and edge on the hand-written data/edge_counts.csv. Run
+from the repository root:
 
     python3 scripts/build_reference_dataset.py
 """
@@ -19,6 +21,7 @@ import refvalues as rv  # noqa: E402
 
 from seasonstats.cli import main  # noqa: E402
 from seasonstats.ingest import counts_from_shares  # noqa: E402
+from seasonstats.report import FORMATS  # noqa: E402
 
 
 def build_counts_csv(path: Path) -> None:
@@ -42,16 +45,16 @@ def build_counts_csv(path: Path) -> None:
     print(f"wrote {path} ({len(lines) - 1} rows)")
 
 
-def build_golden(counts_path: Path, out_root: Path) -> None:
-    for journal, subdir in (("JSCS", "jscs"), ("Entropy", "entropy")):
-        out_dir = out_root / subdir
-        code = main(["--input", str(counts_path), "--format", "counts",
-                     "--journal", journal, "--out", str(out_dir)])
-        if code != 0:
-            raise SystemExit(f"golden build failed for {journal} (exit {code})")
+def build_golden(data_dir: Path) -> None:
+    for subdir, (input_name, journal, extra) in rv.GOLDEN_RUNS.items():
+        for emit in FORMATS:
+            code = main(["--input", str(data_dir / input_name), "--format", "counts",
+                         "--journal", journal, "--emit", emit,
+                         "--out", str(data_dir / "golden" / subdir), *extra])
+            if code != 0:
+                raise SystemExit(f"golden build failed for {subdir} {emit} (exit {code})")
 
 
 if __name__ == "__main__":
-    counts_path = ROOT / "data" / "journal_counts.csv"
-    build_counts_csv(counts_path)
-    build_golden(counts_path, ROOT / "data" / "golden")
+    build_counts_csv(ROOT / "data" / "journal_counts.csv")
+    build_golden(ROOT / "data")

@@ -19,7 +19,7 @@ from seasonstats.cli import main
 from seasonstats.indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
 from seasonstats.ingest import matrices_from_counts, parse_counts
 from seasonstats.probability import conditional, shares
-from seasonstats.report import build_bundle
+from seasonstats.report import DOCUMENT_NAMES, FORMATS, build_bundle
 from seasonstats.stats import chi_square_uniform, describe, t_cdf
 from seasonstats.spectral import dft_magnitudes, top_peaks
 
@@ -273,13 +273,16 @@ def test_criterion_8_properties(fixture_matrices):
                                 f"and Parseval hold ({elapsed:.2f}s)")
 
 
-def test_criterion_9_cli_golden_diff(tmp_path):
-    for journal, subdir in (("JSCS", "jscs"), ("Entropy", "entropy")):
-        out = tmp_path / subdir
-        code = main(["--input", str(FIXTURE), "--format", "counts",
-                     "--journal", journal, "--out", str(out)])
-        assert code == 0
-        for golden_file in sorted((GOLDEN / subdir).glob("*.csv")):
-            produced = (out / golden_file.name).read_text(encoding="utf-8")
-            assert produced == golden_file.read_text(encoding="utf-8"), golden_file.name
-    _verdict(9, True, "CLI documents diff clean against the committed golden files")
+@pytest.mark.parametrize("subdir", sorted(rv.GOLDEN_RUNS))
+@pytest.mark.parametrize("emit", FORMATS)
+def test_criterion_9_cli_golden_diff(tmp_path, subdir, emit):
+    input_name, journal, extra = rv.GOLDEN_RUNS[subdir]
+    code = main(["--input", str(DATA_DIR / input_name), "--format", "counts",
+                 "--journal", journal, "--emit", emit, "--out", str(tmp_path), *extra])
+    assert code == 0
+    goldens = sorted((GOLDEN / subdir).glob(f"*.{emit}"))
+    assert [g.stem for g in goldens] == sorted(DOCUMENT_NAMES)
+    for golden_file in goldens:
+        produced = (tmp_path / golden_file.name).read_text(encoding="utf-8")
+        assert produced == golden_file.read_text(encoding="utf-8"), golden_file.name
+    _verdict(9, True, f"{subdir} {emit} documents diff clean against the committed golden files")
