@@ -4,8 +4,8 @@ Quantifies how far monthly submission and acceptance counts deviate from
 a uniform year: probability tables, entropy and diversity indices,
 inequality measures, significance tests, and DFT periodicity detection.
 """
-from .indices import (IndexReport, diversity, entropy, exponential_entropy,
-                      gini, hhi, lorenz, monthly_entropy_terms, theil)
+from .indices import (diversity, entropy, exponential_entropy, gini, hhi, lorenz,
+                      monthly_entropy_terms, theil)
 from .ingest import (CountMatrix, DataError, EventRecord, RoundingAdjustment,
                      aggregate, counts_from_shares, matrices_from_counts,
                      parse_counts, parse_events)
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisBundle", "AnalysisOptions", "ConditionalTable", "CountMatrix",
-    "DataError", "DescriptiveStats", "EventRecord", "IndexReport",
-    "NamedDocument", "RoundingAdjustment", "ShareTable", "SpectralPeak",
+    "DataError", "DescriptiveStats", "EventRecord", "NamedDocument",
+    "RoundingAdjustment", "ShareTable", "SpectralPeak",
     "TestResult", "aggregate", "build_bundle", "chi_square_uniform",
     "conditional", "counts_from_shares", "describe", "dft_magnitudes",
     "diversity", "entropy", "exponential_entropy", "gini", "hhi", "lorenz",

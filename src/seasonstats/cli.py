@@ -78,7 +78,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.input, encoding="utf-8", newline="") as handle:
+        # utf-8-sig drops the byte-order mark spreadsheet exports often start with
+        with open(args.input, encoding="utf-8-sig", newline="") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ months with no defined value; such entries are skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 Vector = Sequence["float | None"]
@@ -48,18 +47,31 @@ def monthly_entropy_terms(p: Vector) -> tuple:
 def diversity(p: Vector, q: float) -> float:
     """Hill diversity of order q, the effective number of categories.
 
-    For q != 1 this is (sum p_i^q)^(1/(1-q)); q = 1 is dispatched to
-    exp(entropy) rather than a numeric limit. Raw (unnormalized) vectors
-    are accepted; with q = 1 that yields the exponential of the raw
-    conditional entropy.
+    For q != 1 this is (sum p_i^q)^(1/(1-q)), evaluated in the form scaled
+    by the largest entry, p_max^(q/(1-q)) (sum (p_i/p_max)^q)^(1/(1-q)), so
+    that large q neither underflows nor divides by zero. q = 1 is
+    dispatched to exp(entropy) and q = inf to the Berger-Parker limit
+    1/p_max rather than numeric limits. Raw (unnormalized) vectors are
+    accepted; with q = 1 that yields the exponential of the raw conditional
+    entropy.
     """
     if q < 0:
         raise ValueError("diversity order must be non-negative")
     values = _defined(p)
+    p_max = max(values)
+    if p_max == 0.0:
+        raise ValueError("all entries are zero")
     if q == 1.0:
         return math.exp(entropy(values))
-    total = sum(v ** q for v in values if v > 0.0)
-    result = total ** (1.0 / (1.0 - q))
+    if q == math.inf:
+        return 1.0 / p_max
+    total = sum((v / p_max) ** q for v in values if v > 0.0)
+    try:
+        # the two factors are taken as one exponential: near q = 1 one of
+        # them underflows while the other overflows
+        result = math.exp((q * math.log(p_max) + math.log(total)) / (1.0 - q))
+    except OverflowError:
+        result = math.inf
     if not math.isfinite(result):
         raise ValueError("diversity is not finite for this input")
     return result
@@ -113,59 +125,3 @@ def gini(z: Vector) -> float:
     abs_diff = sum(abs(a - b) for a in values for b in values)
     return abs_diff / (2.0 * n * total)
 
-
-@dataclass(frozen=True)
-class IndexReport:
-    """Every index of one distribution, as reported in one table column."""
-
-    entropy_H: float
-    monthly_terms: tuple
-    diversity_q1: float
-    exponential_entropy: float
-    theil: float
-    hhi: float
-    gini: float
-    n_categories: int
-
-    @classmethod
-    def from_distribution(cls, p: Vector) -> "IndexReport":
-        """Indices of a normalized distribution (shares summing to 1)."""
-        values = _defined(p)
-        if abs(sum(values) - 1.0) > 1e-6:
-            raise ValueError("distribution must sum to 1")
-        h = entropy(values)
-        return cls(
-            entropy_H=h,
-            monthly_terms=monthly_entropy_terms(p),
-            diversity_q1=math.exp(h),
-            exponential_entropy=math.exp(-h),
-            theil=math.log(len(values)) - h,
-            hhi=hhi(values),
-            gini=gini(values),
-            n_categories=len(values),
-        )
-
-    @classmethod
-    def from_ratios(cls, r: Vector) -> "IndexReport":
-        """Indices of a raw ratio vector (conditional-probability column).
-
-        The entropy and its exponential (diversity of order 1) are taken on
-        the raw vector; Theil, HHI, exponential entropy, and Gini are taken
-        on the vector normalized to shares. Only this combination makes the
-        diversity row consistent with the conditional-entropy row while the
-        inequality rows stay comparable across table blocks.
-        """
-        values = _defined(r)
-        raw_h = entropy(values)
-        total = sum(values)
-        shares = [v / total for v in values]
-        return cls(
-            entropy_H=raw_h,
-            monthly_terms=monthly_entropy_terms(r),
-            diversity_q1=math.exp(raw_h),
-            exponential_entropy=exponential_entropy(shares),
-            theil=theil(shares),
-            hhi=hhi(shares),
-            gini=gini(shares),
-            n_categories=len(values),
-        )

@@ -19,7 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal
-from typing import Sequence
+from operator import attrgetter
 
 from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
@@ -37,11 +37,6 @@ TOP_PEAK_COUNT = 2
 # layout; the index chain reads them at that quotation
 RATIO_QUOTED_PLACES = 4
 
-
-def round_half_away(x: float, places: int) -> float:
-    """Round to `places` decimals, halves away from zero."""
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP))
 
 def quote_half_down(x: float, places: int) -> float:
     """Round to `places` decimals, halves toward zero.
@@ -97,6 +92,12 @@ class ConditionalFooter:
 
 
 @dataclass(frozen=True)
+class TermsFooter:
+    total: float  # sum of the defined terms
+    stats: DescriptiveStats
+
+
+@dataclass(frozen=True)
 class IndexColumn:
     label: str
     diversities: tuple  # (order q, value) pairs
@@ -124,34 +125,36 @@ class AnalysisBundle:
     accepted_footers: tuple
     conditional_footers: tuple
     entropy_terms: tuple  # per column, 12 terms with None preserved
+    entropy_footers: tuple
     index_blocks: tuple  # (block name, tuple of IndexColumn) pairs
     peaks: tuple  # (series name, list of SpectralPeak) pairs
     options: AnalysisOptions
 
 
-def _share_footer(share_col, counts_col, options) -> ShareFooter:
-    z = None
-    if options.z_sigma is not None:
-        z = z_one_sample(share_col, options.z_null, options.z_sigma)
+def _columns(table) -> list:
+    """Per-year columns of a count, share or ratio table, then the cumulated one."""
+    return [table.column(j) for j in range(len(table.years))] + [table.cumulated]
+
+def _share_footer(col, counts, options) -> ShareFooter:
     return ShareFooter(
-        chi_square=chi_square_uniform(counts_col),
-        entropy=entropy(share_col),
-        t=t_one_sample(share_col, options.t_null),
-        z=z,
-        stats=describe(share_col),
+        chi_square=chi_square_uniform(counts),
+        entropy=entropy(col),
+        t=t_one_sample(col, options.t_null),
+        z=None if options.z_sigma is None else z_one_sample(col, options.z_null, options.z_sigma),
+        stats=describe(col),
     )
 
 def _conditional_footer(col, options) -> ConditionalFooter:
-    z = None
-    if options.z_sigma is not None:
-        z = z_one_sample(col, options.z_null, options.z_sigma)
     return ConditionalFooter(
         total=sum(v for v in col if v is not None),
         cond_entropy=entropy(col),
         t=t_one_sample(col, options.t_null),
-        z=z,
+        z=None if options.z_sigma is None else z_one_sample(col, options.z_null, options.z_sigma),
         stats=describe(col),
     )
+
+def _terms_footer(terms) -> TermsFooter:
+    return TermsFooter(total=sum(v for v in terms if v is not None), stats=describe(terms))
 
 def _index_column(label, vector, options, ratios: bool) -> IndexColumn:
     places = RATIO_QUOTED_PLACES if ratios else options.precision
@@ -185,11 +188,7 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
     sub_shares = shares(submitted)
     acc_shares = shares(accepted)
     cond = conditional(submitted, accepted)
-
-    def _columns(table: ShareTable, matrix: CountMatrix):
-        cols = [(table.column(j), matrix.column(j)) for j in range(len(years))]
-        cols.append((table.cumulated, matrix.cumulated))
-        return cols
+    sub_cols, acc_cols, cond_cols = _columns(sub_shares), _columns(acc_shares), _columns(cond)
 
     def _context(table_name, label, fn, *args):
         try:
@@ -199,30 +198,28 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
 
     sub_footers = tuple(
         _context("t1_submitted", lab, _share_footer, share_col, counts_col, options)
-        for lab, (share_col, counts_col) in zip(labels, _columns(sub_shares, submitted))
+        for lab, share_col, counts_col in zip(labels, sub_cols, _columns(submitted))
     )
     acc_footers = tuple(
         _context("t2_accepted", lab, _share_footer, share_col, counts_col, options)
-        for lab, (share_col, counts_col) in zip(labels, _columns(acc_shares, accepted))
+        for lab, share_col, counts_col in zip(labels, acc_cols, _columns(accepted))
     )
-
-    cond_cols = [cond.column(j) for j in range(len(years))] + [cond.cumulated]
     cond_footers = tuple(
         _context("t3_conditional", lab, _conditional_footer, col, options)
         for lab, col in zip(labels, cond_cols)
     )
     terms = tuple(monthly_entropy_terms(col) for col in cond_cols)
+    terms_footers = tuple(
+        _context("t4_monthly_entropy", lab, _terms_footer, col)
+        for lab, col in zip(labels, terms)
+    )
 
-    index_blocks = (
-        ("submitted", tuple(
-            _context("t5_indices submitted", lab, _index_column, lab, col, options, False)
-            for lab, (col, _) in zip(labels, _columns(sub_shares, submitted)))),
-        ("accepted", tuple(
-            _context("t5_indices accepted", lab, _index_column, lab, col, options, False)
-            for lab, (col, _) in zip(labels, _columns(acc_shares, accepted)))),
-        ("conditional", tuple(
-            _context("t5_indices conditional", lab, _index_column, lab, col, options, True)
-            for lab, col in zip(labels, cond_cols))),
+    index_blocks = tuple(
+        (block, tuple(_context(f"t5_indices {block}", lab, _index_column, lab, col, options, ratios)
+                      for lab, col in zip(labels, cols)))
+        for block, cols, ratios in (("submitted", sub_cols, False),
+                                    ("accepted", acc_cols, False),
+                                    ("conditional", cond_cols, True))
     )
 
     peaks = (
@@ -241,6 +238,7 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
         accepted_footers=acc_footers,
         conditional_footers=cond_footers,
         entropy_terms=terms,
+        entropy_footers=terms_footers,
         index_blocks=index_blocks,
         peaks=peaks,
         options=options,
@@ -258,100 +256,61 @@ def _jnum(value, places):
     return float(format_number(value, places))
 
 
-def _share_grid(bundle, table: ShareTable, footers, places):
-    header = ["row"] + list(bundle.column_labels)
-    rows = []
-    for m in range(MONTHS_PER_YEAR):
-        cells = [table.per_year[m][j] for j in range(len(bundle.years))]
-        cells.append(table.cumulated[m])
-        rows.append([MONTH_LABELS[m]] + [_fmt(v, places) for v in cells])
-    def footer_row(label, pick):
-        rows.append([label] + [_fmt(pick(f), places) for f in footers])
-    footer_row("chi_square", lambda f: f.chi_square.statistic)
-    footer_row("chi_square_p", lambda f: f.chi_square.p_value)
-    footer_row("entropy", lambda f: f.entropy)
-    footer_row("t", lambda f: f.t.statistic)
-    footer_row("t_p", lambda f: f.t.p_value)
-    if footers[0].z is not None:
-        footer_row("z", lambda f: f.z.statistic)
-        footer_row("z_p", lambda f: f.z.p_value)
-    footer_row("mean", lambda f: f.stats.mean)
-    footer_row("std_dev", lambda f: f.stats.std_dev)
-    footer_row("mean_minus_2sd", lambda f: f.stats.band_low)
-    footer_row("mean_plus_2sd", lambda f: f.stats.band_high)
-    return header, rows
-
-def _conditional_grid(bundle, places):
-    cond = bundle.conditional
-    header = ["row"] + list(bundle.column_labels)
-    rows = []
-    for m in range(MONTHS_PER_YEAR):
-        cells = [cond.per_year[m][j] for j in range(len(bundle.years))]
-        cells.append(cond.cumulated[m])
-        rows.append([MONTH_LABELS[m]] + [_fmt(v, places) for v in cells])
-    footers = bundle.conditional_footers
-    def footer_row(label, pick):
-        rows.append([label] + [_fmt(pick(f), places) for f in footers])
-    footer_row("sum", lambda f: f.total)
-    footer_row("cond_entropy", lambda f: f.cond_entropy)
-    footer_row("t", lambda f: f.t.statistic)
-    footer_row("t_p", lambda f: f.t.p_value)
-    if footers[0].z is not None:
-        footer_row("z", lambda f: f.z.statistic)
-        footer_row("z_p", lambda f: f.z.p_value)
-    footer_row("mean", lambda f: f.stats.mean)
-    footer_row("std_dev", lambda f: f.stats.std_dev)
-    footer_row("mean_minus_2sd", lambda f: f.stats.band_low)
-    footer_row("mean_plus_2sd", lambda f: f.stats.band_high)
-    return header, rows
-
-def _terms_grid(bundle, places):
-    header = ["row"] + list(bundle.column_labels)
-    rows = []
-    for m in range(MONTHS_PER_YEAR):
-        rows.append([MONTH_LABELS[m]]
-                    + [_fmt(col[m], places) for col in bundle.entropy_terms])
-    sums = [sum(v for v in col if v is not None) for col in bundle.entropy_terms]
-    stats = [describe(col) for col in bundle.entropy_terms]
-    rows.append(["sum"] + [_fmt(v, places) for v in sums])
-    rows.append(["mean"] + [_fmt(s.mean, places) for s in stats])
-    rows.append(["std_dev"] + [_fmt(s.std_dev, places) for s in stats])
-    rows.append(["mean_minus_2sd"] + [_fmt(s.band_low, places) for s in stats])
-    rows.append(["mean_plus_2sd"] + [_fmt(s.band_high, places) for s in stats])
-    return header, rows
-
-def _index_grid(bundle, places):
-    header = ["block", "index"] + list(bundle.column_labels)
-    rows = []
-    for block_name, columns in bundle.index_blocks:
-        for i, (q, _) in enumerate(columns[0].diversities):
-            rows.append([block_name, f"D{q:g}"]
-                        + [_fmt(col.diversities[i][1], places) for col in columns])
-        rows.append([block_name, "exp_entropy"]
-                    + [_fmt(col.exponential_entropy, places) for col in columns])
-        rows.append([block_name, "theil"] + [_fmt(col.theil, places) for col in columns])
-        rows.append([block_name, "hhi"] + [_fmt(col.hhi, places) for col in columns])
-        rows.append([block_name, "gini"] + [_fmt(col.gini, places) for col in columns])
-    return header, rows
-
-def _peaks_grid(bundle, places):
-    header = ["series", "rank", "frequency", "period_months", "amplitude"]
-    rows = []
-    for series_name, peaks in bundle.peaks:
-        for rank, peak in enumerate(peaks, start=1):
-            rows.append([series_name, str(rank), _fmt(peak.frequency, places),
-                         _fmt(peak.period, places), _fmt(peak.amplitude, places)])
-    return header, rows
+# Row layout of every document: a (row label, attribute path) spec per footer
+# or index row, read from the bundle's footer and index objects.
+_SHARE_ROWS = (("chi_square", "chi_square.statistic"), ("chi_square_p", "chi_square.p_value"),
+               ("entropy", "entropy"), ("t", "t.statistic"), ("t_p", "t.p_value"))
+_CONDITIONAL_ROWS = (("sum", "total"), ("cond_entropy", "cond_entropy"),
+                     ("t", "t.statistic"), ("t_p", "t.p_value"))
+_TERMS_ROWS = (("sum", "total"),)
+_Z_ROWS = (("z", "z.statistic"), ("z_p", "z.p_value"))
+_BAND_ROWS = (("mean", "stats.mean"), ("std_dev", "stats.std_dev"),
+              ("mean_minus_2sd", "stats.band_low"), ("mean_plus_2sd", "stats.band_high"))
+_INDEX_ROWS = (("exp_entropy", "exponential_entropy"), ("theil", "theil"),
+               ("hhi", "hhi"), ("gini", "gini"))
+_PEAK_COLUMNS = ("frequency", "period_months", "amplitude")
 
 
-def _grids(bundle, places):
+@dataclass(frozen=True)
+class _Layout:
+    keys: tuple  # names of the key columns
+    value_names: tuple  # names of the value columns
+    rows: list  # (row keys, raw values) pairs, one value per value column
+
+
+def _spec_rows(specs, objects, keys=()):
+    return [((*keys, label), tuple(map(attrgetter(path), objects))) for label, path in specs]
+
+def _month_layout(columns, footers, footer_specs, labels) -> _Layout:
+    """Twelve month rows, then one row per footer spec."""
+    rows = [((MONTH_LABELS[m],), tuple(col[m] for col in columns))
+            for m in range(MONTHS_PER_YEAR)]
+    return _Layout(("row",), labels, rows + _spec_rows(footer_specs, footers))
+
+def _layouts(bundle) -> dict:
+    """Every document's rows, in raw values, keyed by document name."""
+    labels = bundle.column_labels
+    z_rows = _Z_ROWS if bundle.submitted_footers[0].z is not None else ()
+    share_rows = _SHARE_ROWS + z_rows + _BAND_ROWS
+    index_rows = []
+    for block, cols in bundle.index_blocks:
+        for i, (q, _) in enumerate(cols[0].diversities):
+            index_rows.append(((block, f"D{q:g}"), tuple(c.diversities[i][1] for c in cols)))
+        index_rows += _spec_rows(_INDEX_ROWS, cols, (block,))
+    peak_rows = [((series, rank), (p.frequency, p.period, p.amplitude))
+                 for series, peaks in bundle.peaks
+                 for rank, p in enumerate(peaks, start=1)]
     return {
-        "t1_submitted": _share_grid(bundle, bundle.submitted, bundle.submitted_footers, places),
-        "t2_accepted": _share_grid(bundle, bundle.accepted, bundle.accepted_footers, places),
-        "t3_conditional": _conditional_grid(bundle, places),
-        "t4_monthly_entropy": _terms_grid(bundle, places),
-        "t5_indices": _index_grid(bundle, places),
-        "t6_fourier": _peaks_grid(bundle, places),
+        "t1_submitted": _month_layout(_columns(bundle.submitted), bundle.submitted_footers,
+                                      share_rows, labels),
+        "t2_accepted": _month_layout(_columns(bundle.accepted), bundle.accepted_footers,
+                                     share_rows, labels),
+        "t3_conditional": _month_layout(_columns(bundle.conditional), bundle.conditional_footers,
+                                        _CONDITIONAL_ROWS + z_rows + _BAND_ROWS, labels),
+        "t4_monthly_entropy": _month_layout(bundle.entropy_terms, bundle.entropy_footers,
+                                            _TERMS_ROWS + _BAND_ROWS, labels),
+        "t5_indices": _Layout(("block", "index"), labels, index_rows),
+        "t6_fourier": _Layout(("series", "rank"), _PEAK_COLUMNS, peak_rows),
     }
 
 
@@ -372,104 +331,42 @@ def _md_text(header, rows) -> str:
     parts.extend(line(row) for row in rows)
     return "\n".join(parts) + "\n"
 
+def _grid(layout: _Layout, places):
+    header = [*layout.keys, *layout.value_names]
+    rows = [[*map(str, keys), *(_fmt(v, places) for v in values)]
+            for keys, values in layout.rows]
+    return header, rows
 
-def _share_json(bundle, table, footers, places):
-    columns = {}
-    for j, label in enumerate(bundle.column_labels):
-        if j < len(bundle.years):
-            col = [table.per_year[m][j] for m in range(MONTHS_PER_YEAR)]
-        else:
-            col = list(table.cumulated)
-        footer = footers[j]
-        entry = {
-            "months": {MONTH_LABELS[m]: _jnum(col[m], places) for m in range(MONTHS_PER_YEAR)},
-            "footer": {
-                "chi_square": _jnum(footer.chi_square.statistic, places),
-                "chi_square_p": _jnum(footer.chi_square.p_value, places),
-                "entropy": _jnum(footer.entropy, places),
-                "t": _jnum(footer.t.statistic, places),
-                "t_p": _jnum(footer.t.p_value, places),
-                "mean": _jnum(footer.stats.mean, places),
-                "std_dev": _jnum(footer.stats.std_dev, places),
-                "mean_minus_2sd": _jnum(footer.stats.band_low, places),
-                "mean_plus_2sd": _jnum(footer.stats.band_high, places),
-            },
-        }
-        if footer.z is not None:
-            entry["footer"]["z"] = _jnum(footer.z.statistic, places)
-            entry["footer"]["z_p"] = _jnum(footer.z.p_value, places)
-        columns[label] = entry
-    return {"columns": columns}
 
-def _conditional_json(bundle, places):
-    cond = bundle.conditional
-    columns = {}
-    for j, label in enumerate(bundle.column_labels):
-        if j < len(bundle.years):
-            col = [cond.per_year[m][j] for m in range(MONTHS_PER_YEAR)]
-        else:
-            col = list(cond.cumulated)
-        footer = bundle.conditional_footers[j]
-        entry = {
-            "months": {MONTH_LABELS[m]: _jnum(col[m], places) for m in range(MONTHS_PER_YEAR)},
-            "footer": {
-                "sum": _jnum(footer.total, places),
-                "cond_entropy": _jnum(footer.cond_entropy, places),
-                "t": _jnum(footer.t.statistic, places),
-                "t_p": _jnum(footer.t.p_value, places),
-                "mean": _jnum(footer.stats.mean, places),
-                "std_dev": _jnum(footer.stats.std_dev, places),
-                "mean_minus_2sd": _jnum(footer.stats.band_low, places),
-                "mean_plus_2sd": _jnum(footer.stats.band_high, places),
-            },
-        }
-        if footer.z is not None:
-            entry["footer"]["z"] = _jnum(footer.z.statistic, places)
-            entry["footer"]["z_p"] = _jnum(footer.z.p_value, places)
-        columns[label] = entry
-    return {"columns": columns}
+def _nest_columns(layout: _Layout, places):
+    def cells(rows, j):
+        return {row: _jnum(values[j], places) for (row,), values in rows}
+    months, footers = layout.rows[:MONTHS_PER_YEAR], layout.rows[MONTHS_PER_YEAR:]
+    # JSON footers list z and z_p last, after the band rows, where the grids
+    # put them after t_p; the JSON bytes are part of the contract
+    footers.sort(key=lambda row: row[0][0] in ("z", "z_p"))
+    return {"columns": {label: {"months": cells(months, j), "footer": cells(footers, j)}
+                        for j, label in enumerate(layout.value_names)}}
 
-def _terms_json(bundle, places):
-    columns = {}
-    for label, col in zip(bundle.column_labels, bundle.entropy_terms):
-        stats = describe(col)
-        columns[label] = {
-            "months": {MONTH_LABELS[m]: _jnum(col[m], places) for m in range(MONTHS_PER_YEAR)},
-            "footer": {
-                "sum": _jnum(sum(v for v in col if v is not None), places),
-                "mean": _jnum(stats.mean, places),
-                "std_dev": _jnum(stats.std_dev, places),
-                "mean_minus_2sd": _jnum(stats.band_low, places),
-                "mean_plus_2sd": _jnum(stats.band_high, places),
-            },
-        }
-    return {"columns": columns}
-
-def _index_json(bundle, places):
+def _nest_blocks(layout: _Layout, places):
     blocks = {}
-    for block_name, columns in bundle.index_blocks:
-        block = {}
-        for col in columns:
-            entry = {f"D{q:g}": _jnum(v, places) for q, v in col.diversities}
-            entry["exp_entropy"] = _jnum(col.exponential_entropy, places)
-            entry["theil"] = _jnum(col.theil, places)
-            entry["hhi"] = _jnum(col.hhi, places)
-            entry["gini"] = _jnum(col.gini, places)
-            block[col.label] = entry
-        blocks[block_name] = {"columns": block}
+    for (block, index), values in layout.rows:
+        columns = blocks.setdefault(
+            block, {"columns": {label: {} for label in layout.value_names}})["columns"]
+        for label, v in zip(layout.value_names, values):
+            columns[label][index] = _jnum(v, places)
     return {"blocks": blocks}
 
-def _peaks_json(bundle, places):
+def _nest_series(layout: _Layout, places):
     series = {}
-    for series_name, peaks in bundle.peaks:
-        series[series_name] = [
-            {"rank": rank,
-             "frequency": _jnum(p.frequency, places),
-             "period_months": _jnum(p.period, places),
-             "amplitude": _jnum(p.amplitude, places)}
-            for rank, p in enumerate(peaks, start=1)
-        ]
+    for (name, rank), values in layout.rows:
+        entry = {"rank": rank}
+        entry.update((col, _jnum(v, places)) for col, v in zip(layout.value_names, values))
+        series.setdefault(name, []).append(entry)
     return {"series": series}
+
+_NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
+            ("series", "rank"): _nest_series}
 
 
 def render(bundle: AnalysisBundle, format: str, precision: "int | None" = None) -> list:
@@ -483,25 +380,13 @@ def render(bundle: AnalysisBundle, format: str, precision: "int | None" = None) 
         raise DataError("empty bundle")
 
     documents = []
-    if format in ("csv", "md"):
-        grids = _grids(bundle, places)
-        for name in DOCUMENT_NAMES:
-            header, rows = grids[name]
-            text = _csv_text(header, rows) if format == "csv" else _md_text(header, rows)
-            documents.append(NamedDocument(name, text))
-        return documents
-
-    builders = {
-        "t1_submitted": lambda: _share_json(bundle, bundle.submitted, bundle.submitted_footers, places),
-        "t2_accepted": lambda: _share_json(bundle, bundle.accepted, bundle.accepted_footers, places),
-        "t3_conditional": lambda: _conditional_json(bundle, places),
-        "t4_monthly_entropy": lambda: _terms_json(bundle, places),
-        "t5_indices": lambda: _index_json(bundle, places),
-        "t6_fourier": lambda: _peaks_json(bundle, places),
-    }
-    for name in DOCUMENT_NAMES:
-        body = {"name": name, "journal": bundle.journal,
-                "years": list(bundle.years), "precision": places}
-        body.update(builders[name]())
-        documents.append(NamedDocument(name, json.dumps(body, indent=2) + "\n"))
+    for name, layout in _layouts(bundle).items():
+        if format == "json":
+            body = {"name": name, "journal": bundle.journal,
+                    "years": list(bundle.years), "precision": places}
+            body.update(_NESTERS[layout.keys](layout, places))
+            text = json.dumps(body, indent=2) + "\n"
+        else:
+            text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
+        documents.append(NamedDocument(name, text))
     return documents

@@ -13,8 +13,6 @@ from typing import Sequence
 
 from .special import chi_square_sf, normal_cdf, regularized_beta
 
-MONTHS_PER_YEAR = 12
-
 
 @dataclass(frozen=True)
 class TestResult:

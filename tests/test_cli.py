@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from seasonstats.cli import _parse_orders, _parse_years, build_parser, main
 from seasonstats.ingest import DataError
 
 import refvalues as rv
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture()
@@ -123,6 +126,33 @@ def test_bad_q_exits_1(counts_csv, tmp_path, capsys):
                  "--q", "1,x", "--out", tmp_path / "x"])
     assert code == 1
     assert "diversity orders" in capsys.readouterr().err
+
+
+def test_infinite_and_large_orders(counts_csv, tmp_path):
+    out = tmp_path / "qinf"
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--q", "inf,5000", "--out", out])
+    assert code == 0
+    t1 = list(csv.reader((out / "t1_submitted.csv").open()))
+    t5 = list(csv.reader((out / "t5_indices.csv").open()))
+    d_inf = next(row for row in t5 if row[:2] == ["submitted", "Dinf"])
+    d_5000 = next(row for row in t5 if row[:2] == ["submitted", "D5000"])
+    for j in range(1, len(t1[0])):
+        max_share = max(float(row[j]) for row in t1[1:13])
+        assert float(d_inf[j + 1]) == pytest.approx(1.0 / max_share, rel=1e-4)
+        assert float(d_5000[j + 1]) == pytest.approx(float(d_inf[j + 1]), rel=1e-3)
+
+
+def test_bom_prefixed_input(tmp_path):
+    source = DATA_DIR / "journal_counts.csv"
+    bom_copy = tmp_path / "bom.csv"
+    bom_copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    out = tmp_path / "bom_out"
+    code = _run(["--input", bom_copy, "--format", "counts", "--journal", "JSCS",
+                 "--out", out])
+    assert code == 0
+    golden = DATA_DIR / "golden" / "jscs" / "t1_submitted.csv"
+    assert (out / "t1_submitted.csv").read_text() == golden.read_text()
 
 
 def test_z_flags_must_pair(counts_csv, tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seasonstats.indices import (
-    IndexReport,
     diversity,
     entropy,
     exponential_entropy,
@@ -94,8 +93,15 @@ def test_diversity_orders():
         assert diversity(UNIFORM_12, q) == pytest.approx(12.0, abs=1e-9)
     assert diversity([0.5, 0.5], 2.0) == pytest.approx(2.0)
     assert diversity([1.0], 1.0) == pytest.approx(1.0)
+    # large orders approach the Berger-Parker limit 1 / max p without underflow
+    assert diversity(UNIFORM_12, math.inf) == pytest.approx(12.0, abs=1e-9)
+    assert diversity(UNIFORM_12, 5000.0) == pytest.approx(12.0, abs=1e-9)
+    assert diversity([0.5, 0.3, 0.2], math.inf) == 2.0
+    assert diversity([0.5, 0.3, 0.2], 5000.0) == pytest.approx(2.0, rel=1e-3)
     with pytest.raises(ValueError, match="non-negative"):
         diversity(UNIFORM_12, -1.0)
+    with pytest.raises(ValueError, match="all entries are zero"):
+        diversity([0.0, 0.0], 2.0)
 
 
 def test_diversity_q1_reference(jscs_matrices):
@@ -109,7 +115,7 @@ def test_richness_counts_positive_entries():
 
 @given(distributions)
 def test_diversity_non_increasing_in_q(p):
-    orders = (0.0, 0.5, 1.0, 2.0, 4.0)
+    orders = (0.0, 0.5, 1.0, 2.0, 4.0, 5000.0, math.inf)
     values = [diversity(p, q) for q in orders]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-9
@@ -174,28 +180,3 @@ def test_none_entries_are_skipped():
     assert gini([0.5, None, 0.5]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="no defined"):
         entropy([None, None])
-
-
-def test_report_from_distribution(jscs_matrices):
-    table = shares(jscs_matrices[0])
-    report = IndexReport.from_distribution(table.column(0))
-    assert report.entropy_H == pytest.approx(2.4487, abs=5e-4)
-    assert report.diversity_q1 == pytest.approx(11.574, abs=5e-3)
-    assert report.exponential_entropy == pytest.approx(0.08640, abs=5e-4)
-    assert report.theil == pytest.approx(0.03619, abs=5e-4)
-    assert report.hhi == pytest.approx(0.08945, abs=5e-4)
-    assert report.n_categories == 12
-    with pytest.raises(ValueError, match="sum to 1"):
-        IndexReport.from_distribution([0.5, 0.4])
-
-
-def test_report_from_ratios(jscs_matrices):
-    from seasonstats.probability import conditional
-    cond = conditional(*jscs_matrices)
-    report = IndexReport.from_ratios(cond.cumulated)
-    assert report.entropy_H == pytest.approx(rv.JSCS_CUM_COND_ENTROPY, abs=5e-4)
-    assert report.diversity_q1 == pytest.approx(rv.JSCS_CUM_COND_D1, abs=5e-3)
-    assert report.exponential_entropy == pytest.approx(0.08438, abs=5e-4)
-    assert report.theil == pytest.approx(0.01244, abs=5e-4)
-    assert report.hhi == pytest.approx(0.08546, abs=5e-4)
-    assert report.gini == pytest.approx(0.08820, abs=1e-3)

@@ -14,7 +14,6 @@ from seasonstats.report import (
     build_bundle,
     format_number,
     render,
-    round_half_away,
 )
 
 import refvalues as rv
@@ -29,9 +28,6 @@ def _doc(documents, name):
 
 
 def test_rounding_helpers():
-    assert round_half_away(0.5, 0) == 1.0
-    assert round_half_away(2.675, 2) == 2.68  # repr-based, not binary-float
-    assert round_half_away(-0.125, 2) == -0.13
     assert format_number(11.574, 4) == "11.5740"
     assert format_number(0.084375, 5) == "0.08438"
     assert format_number(23.2776, 5) == "23.27760"

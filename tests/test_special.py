@@ -40,10 +40,17 @@ def test_beta_matches_scipy(a, b, x):
 
 
 @given(st.floats(0.2, 30), st.floats(0.2, 30), st.floats(0, 1))
-def test_beta_symmetry(a, b, x):
+def test_beta_symmetry(a, b, y):
+    # x and 1 - x must both be exact, or the mirrored side is evaluated at
+    # another point (for a tiny x, 1 - x rounds to 1)
+    x = 1.0 - (1.0 - y)
+    assert x == 1.0 - (1.0 - x)
     lhs = regularized_beta(a, b, x)
     rhs = 1.0 - regularized_beta(b, a, 1.0 - x)
     assert lhs == pytest.approx(rhs, abs=2e-8)
+    # closed forms: I_x(a, 1) = x^a and I_x(1, b) = 1 - (1 - x)^b
+    assert regularized_beta(a, 1.0, x) == pytest.approx(x ** a, abs=2e-8)
+    assert regularized_beta(1.0, b, x) == pytest.approx(1.0 - (1.0 - x) ** b, abs=2e-8)
 
 
 @given(st.floats(-8, 8))
