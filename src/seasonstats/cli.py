@@ -81,6 +81,9 @@ def main(argv=None) -> int:
         # utf-8-sig drops the byte-order mark spreadsheet exports often start with
         with open(args.input, encoding="utf-8-sig", newline="") as handle:
             lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        print(f"analyze: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)
         return 2
@@ -88,11 +91,11 @@ def main(argv=None) -> int:
     try:
         years = None if args.years is None else _parse_years(args.years)
         if args.format == "events":
-            events = parse_events(lines)
+            events = parse_events(lines, args.journal)
             if years is None:
-                mine = [e.submitted_at.year for e in events if e.journal == args.journal]
-                if not mine:
+                if not events:
                     raise DataError(f"empty selection: no rows for journal {args.journal!r}")
+                mine = [e.submitted_at.year for e in events]
                 years = tuple(range(min(mine), max(mine) + 1))
             submitted, accepted = aggregate(events, args.journal, years)
         else:

@@ -91,8 +91,14 @@ def _check_pair(submitted: CountMatrix, accepted: CountMatrix) -> None:
                     f"accepted exceeds submitted in month {m + 1}, year {submitted.years[j]}")
 
 
-def parse_events(stream: Iterable[str]) -> list:
-    """Parse event-level CSV with header journal,submitted_at,decision."""
+def parse_events(stream: Iterable[str], journal: str) -> list:
+    """Parse event-level CSV with header journal,submitted_at,decision.
+
+    Every row is validated (column count, ISO date, decision, in that
+    order), but records are built only for rows of `journal`. Dates and
+    decisions repeat heavily, so each distinct raw field is checked once
+    per parse.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -100,21 +106,31 @@ def parse_events(stream: Iterable[str]) -> list:
         raise DataError("empty input, expected a header row") from None
     if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
         raise DataError(f"expected header {','.join(EVENT_HEADER)} at line 1")
+    dates = {}
+    decisions = {}
     records = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
             raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
-        journal, raw_date, raw_decision = (field.strip() for field in row)
-        try:
-            submitted_at = date.fromisoformat(raw_date)
-        except ValueError as exc:
-            raise DataError(f"invalid date {raw_date!r} at line {lineno}: {exc}") from None
-        decision = raw_decision.lower()
-        if decision not in DECISIONS:
-            raise DataError(f"unknown decision {raw_decision!r} at line {lineno}")
-        records.append(EventRecord(journal, submitted_at, decision))
+        raw_journal, raw_date, raw_decision = row
+        submitted_at = dates.get(raw_date)
+        if submitted_at is None:
+            field = raw_date.strip()
+            try:
+                submitted_at = dates[raw_date] = date.fromisoformat(field)
+            except ValueError as exc:
+                raise DataError(f"invalid date {field!r} at line {lineno}: {exc}") from None
+        decision = decisions.get(raw_decision)
+        if decision is None:
+            field = raw_decision.strip()
+            decision = field.lower()
+            if decision not in DECISIONS:
+                raise DataError(f"unknown decision {field!r} at line {lineno}")
+            decisions[raw_decision] = decision
+        if raw_journal.strip() == journal:
+            records.append(EventRecord(journal, submitted_at, decision))
     return records
 
 

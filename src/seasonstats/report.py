@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal
 from operator import attrgetter
@@ -69,6 +70,10 @@ class AnalysisOptions:
             raise DataError("diversity orders must be non-negative")
         if (self.z_sigma is None) != (self.z_null is None):
             raise DataError("z test needs both a sigma and a null value")
+        for name, value in (("t null", self.t_null), ("z null", self.z_null),
+                            ("z sigma", self.z_sigma)):
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"{name} value must be finite")
         if self.z_sigma is not None and self.z_sigma <= 0:
             raise DataError("z sigma must be positive")
 

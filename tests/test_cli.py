@@ -1,12 +1,16 @@
 """Command-line behavior: arguments, exit codes, emitted files."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seasonstats.cli import _parse_orders, _parse_years, build_parser, main
 from seasonstats.ingest import DataError
@@ -104,6 +108,18 @@ def test_events_infer_years(events_csv, tmp_path):
     assert grid[0] == ["row", "2021", "2022", "[2021-2022]"]
 
 
+def test_bad_date_in_other_journal_exits_1(events_csv, tmp_path, capsys):
+    lines = events_csv.read_text(encoding="utf-8").splitlines()
+    lines.insert(5, "Other,2021-02-30,accepted")  # line 6 of the file
+    events_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = _run(["--input", events_csv, "--format", "events", "--journal", "Demo",
+                 "--out", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "invalid date '2021-02-30' at line 6" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_journal_exits_1(counts_csv, tmp_path, capsys):
     code = _run(["--input", counts_csv, "--format", "counts",
                  "--journal", "Nature", "--out", tmp_path / "x"])
@@ -126,6 +142,15 @@ def test_bad_q_exits_1(counts_csv, tmp_path, capsys):
                  "--q", "1,x", "--out", tmp_path / "x"])
     assert code == 1
     assert "diversity orders" in capsys.readouterr().err
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--q", "nan", "--out", tmp_path / "x"])
+    assert code == 1
+    assert "not finite" in capsys.readouterr().err
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--t-null", "nan", "--out", tmp_path / "x"])
+    assert code == 1
+    assert "t null value must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_infinite_and_large_orders(counts_csv, tmp_path):
@@ -160,6 +185,12 @@ def test_z_flags_must_pair(counts_csv, tmp_path, capsys):
                  "--z-sigma", "0.02", "--out", tmp_path / "x"])
     assert code == 1
     assert "both" in capsys.readouterr().err
+    for flags, message in ((["--z-sigma", "0.02", "--z-null", "nan"], "z null"),
+                           (["--z-sigma", "inf", "--z-null", "0.08"], "z sigma")):
+        code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                     *flags, "--out", tmp_path / "x"])
+        assert code == 1
+        assert f"{message} value must be finite" in capsys.readouterr().err
 
 
 def test_z_flags_add_rows(counts_csv, tmp_path):
@@ -185,6 +216,15 @@ def test_missing_input_exits_2(tmp_path, capsys):
                  "--journal", "JSCS", "--out", tmp_path / "x"])
     assert code == 2
     assert "cannot read input" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"journal,year,month,submitted,accepted\nJ\xff,2012,1,5,1\n")
+    code = _run(["--input", path, "--format", "counts", "--journal", "J",
+                 "--out", tmp_path / "x"])
+    assert code == 1
+    assert "analyze: input is not UTF-8 text:" in capsys.readouterr().err
 
 
 def test_unwritable_out_exits_2(counts_csv, tmp_path, capsys):
@@ -253,3 +293,72 @@ def test_parser_defaults():
     assert args.out == "."
     assert args.t_null == pytest.approx(0.0833333)
     assert args.z_sigma is None and args.z_null is None
+
+
+def _fuzz_events():
+    lines = ["journal,submitted_at,decision"]
+    for month in range(1, 13):
+        for day in range(1, month + 3):
+            decision = "accepted" if (day + month) % 3 == 0 else "rejected"
+            lines.append(f"JSCS,2012-{month:02d}-{day:02d},{decision}")
+            lines.append(f"Entropy,2013-{month:02d}-{day:02d},{decision}")
+    return "\n".join(lines).encode("utf-8") + b"\n"
+
+
+_FUZZ_SOURCES = {
+    "counts": (DATA_DIR / "journal_counts.csv").read_bytes(),
+    "events": _fuzz_events(),
+}
+
+
+@st.composite
+def _fuzz_input(draw, source):
+    """A valid input as is, cut short, with random bytes spliced in, or random bytes."""
+    data = draw(st.sampled_from(("intact", "cut", "spliced", "random")))
+    if data == "random":
+        data = draw(st.binary(max_size=64))
+    elif data == "cut":
+        data = source[:draw(st.integers(0, len(source)))]
+    elif data == "spliced":
+        at = draw(st.integers(0, len(source)))
+        data = source[:at] + draw(st.binary(min_size=1, max_size=8)) + source[at:]
+    else:
+        data = source
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+_FUZZ_VALUES = st.sampled_from(("nan", "inf", "-inf", "-1", "", "0", "0.02", "0.08"))
+_FUZZ_FLAGS = {
+    "--q": st.sampled_from(("nan", "inf", "-1", "", "1,2", "0,1,2,inf", "1,nan")),
+    "--t-null": _FUZZ_VALUES,
+    "--z-sigma": _FUZZ_VALUES,
+    "--z-null": _FUZZ_VALUES,
+    "--years": st.sampled_from(("nan", "inf", "-1", "", "2012", "2012:2014",
+                                "2011:2012", "-3:-1", "2014:2012")),
+}
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_exit_codes_are_contractual(data):
+    """Every input and flag value ends in exit 0, 1 or 2, never a traceback."""
+    input_format = data.draw(st.sampled_from(("counts", "events")))
+    content = data.draw(_fuzz_input(_FUZZ_SOURCES[input_format]))
+    flags = data.draw(st.sets(st.sampled_from(sorted(_FUZZ_FLAGS)), max_size=3))
+    journal = data.draw(st.sampled_from(("JSCS", "Entropy", "Nature")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(content)
+        argv = ["--input", str(path), "--format", input_format, "--journal", journal,
+                "--out", str(Path(tmp) / "out")]
+        for flag in flags:
+            argv.append(f"{flag}={data.draw(_FUZZ_FLAGS[flag])}")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)

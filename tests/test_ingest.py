@@ -1,13 +1,17 @@
 """Parsing, aggregation, and count reconstruction."""
 
+import csv
 import warnings
+from datetime import date
 
 import pytest
 from hypothesis import given, strategies as st
 
 from seasonstats.ingest import (
+    DECISIONS,
     CountMatrix,
     DataError,
+    EventRecord,
     RoundingAdjustment,
     aggregate,
     counts_from_shares,
@@ -29,30 +33,37 @@ EVENT_LINES = [
 
 
 def test_parse_events_basic():
-    records = parse_events(EVENT_LINES)
-    assert len(records) == 5
+    records = parse_events(EVENT_LINES, "JSCS")
+    assert len(records) == 4
     assert records[0].journal == "JSCS"
     assert records[0].submitted_at.month == 1
     assert records[2].decision == "accepted"  # case-insensitive
+    assert parse_events(EVENT_LINES, "Entropy") == [
+        EventRecord("Entropy", date(2014, 3, 10), "rejected")]
 
 
 def test_parse_events_errors_carry_line_numbers():
     with pytest.raises(DataError, match="header"):
-        parse_events(["wrong,header,row"])
+        parse_events(["wrong,header,row"], "JSCS")
     with pytest.raises(DataError, match="line 2"):
-        parse_events(["journal,submitted_at,decision", "JSCS,2012-13-01,accepted"])
+        parse_events(["journal,submitted_at,decision", "JSCS,2012-13-01,accepted"], "JSCS")
     with pytest.raises(DataError, match="line 3"):
         parse_events(["journal,submitted_at,decision",
                       "JSCS,2012-01-01,accepted",
-                      "JSCS,2012-01-02,maybe"])
+                      "JSCS,2012-01-02,maybe"], "JSCS")
     with pytest.raises(DataError, match="3 columns"):
-        parse_events(["journal,submitted_at,decision", "JSCS,2012-01-01"])
+        parse_events(["journal,submitted_at,decision", "JSCS,2012-01-01"], "JSCS")
     with pytest.raises(DataError, match="empty input"):
-        parse_events([])
+        parse_events([], "JSCS")
+    # rows of other journals are validated too
+    with pytest.raises(DataError, match="line 3"):
+        parse_events(["journal,submitted_at,decision",
+                      "JSCS,2012-01-01,accepted",
+                      "Other,2012-02-30,accepted"], "JSCS")
 
 
 def test_aggregate_counts_by_month_and_year():
-    records = parse_events(EVENT_LINES)
+    records = parse_events(EVENT_LINES, "JSCS")
     submitted, accepted = aggregate(records, "JSCS", (2012, 2013))
     assert submitted.years == (2012, 2013)
     assert submitted.counts[0] == (2, 0)  # Jan 2012: two submissions
@@ -63,11 +74,71 @@ def test_aggregate_counts_by_month_and_year():
 
 
 def test_aggregate_empty_selection():
-    records = parse_events(EVENT_LINES)
     with pytest.raises(DataError, match="empty selection"):
-        aggregate(records, "Nature", (2012,))
+        aggregate(parse_events(EVENT_LINES, "Nature"), "Nature", (2012,))
+    records = parse_events(EVENT_LINES, "JSCS")
     with pytest.raises(DataError, match="empty selection"):
         aggregate(records, "JSCS", (1999,))
+
+
+def _parse_all_then_filter(lines, journal):
+    """Reference: build a record for every row, then keep one journal's."""
+    reader = csv.reader(lines)
+    next(reader)
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
+        name, raw_date, raw_decision = (field.strip() for field in row)
+        try:
+            submitted_at = date.fromisoformat(raw_date)
+        except ValueError as exc:
+            raise DataError(f"invalid date {raw_date!r} at line {lineno}: {exc}") from None
+        decision = raw_decision.lower()
+        if decision not in DECISIONS:
+            raise DataError(f"unknown decision {raw_decision!r} at line {lineno}")
+        records.append(EventRecord(name, submitted_at, decision))
+    return [r for r in records if r.journal == journal]
+
+
+def _padded(values):
+    return st.sampled_from(values).flatmap(
+        lambda v: st.sampled_from((v, f" {v}", f"{v} ", f"  {v}\t")))
+
+
+_JOURNALS = ("JSCS", "Entropy", "jscs", "Nature")
+_GOOD_ROWS = st.tuples(
+    _padded(_JOURNALS),
+    _padded(("2012-01-15", "2013-02-28", "2016-02-29", "2014-12-31")),
+    _padded(("accepted", "rejected", "Accepted", "REJECTED", "aCcEpTeD")),
+).map(",".join)
+_BAD_ROWS = st.one_of(
+    st.tuples(_padded(_JOURNALS),
+              _padded(("2013-02-29", "2012-13-01", "2012/01/15", "", "x")),
+              st.sampled_from(("accepted", "maybe"))).map(",".join),
+    st.tuples(_padded(_JOURNALS), st.just("2012-01-15"),
+              _padded(("maybe", "", "accept", "acceptéd"))).map(",".join),
+    st.sampled_from(("JSCS,2012-01-15", "JSCS,2012-01-15,accepted,x", "JSCS", "\"a,b\",c")),
+)
+
+
+@given(st.lists(_GOOD_ROWS | st.just(""), max_size=30),
+       st.lists(st.tuples(st.integers(0, 30), _BAD_ROWS), max_size=2),
+       st.sampled_from(_JOURNALS + ("Absent",)))
+def test_parse_events_matches_parse_all_then_filter(rows, bad, journal):
+    for position, row in bad:
+        rows.insert(position, row)
+    lines = ["journal,submitted_at,decision", *rows]
+    try:
+        expected = _parse_all_then_filter(lines, journal)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            parse_events(lines, journal)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_events(lines, journal) == expected
 
 
 def test_count_matrix_validation():

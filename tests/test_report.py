@@ -46,6 +46,11 @@ def test_options_validation():
         AnalysisOptions(z_null=0.08)
     with pytest.raises(DataError, match="positive"):
         AnalysisOptions(z_sigma=-1.0, z_null=0.08)
+    for fields in ({"t_null": float("nan")}, {"t_null": float("-inf")},
+                   {"z_sigma": 0.02, "z_null": float("nan")},
+                   {"z_sigma": float("inf"), "z_null": 0.08}):
+        with pytest.raises(DataError, match="must be finite"):
+            AnalysisOptions(**fields)
 
 
 def test_bundle_structure(jscs_bundle):
