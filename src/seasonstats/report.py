@@ -52,7 +52,8 @@ def quote_half_down(x: float, places: int) -> float:
 
 def format_number(x: float, places: int) -> str:
     q = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP))
+    # "f": str() would write values below 1e-6 as 0E-7, 3E-7
+    return format(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP), "f")
 
 
 @dataclass(frozen=True)

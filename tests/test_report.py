@@ -31,6 +31,8 @@ def test_rounding_helpers():
     assert format_number(11.574, 4) == "11.5740"
     assert format_number(0.084375, 5) == "0.08438"
     assert format_number(23.2776, 5) == "23.27760"
+    assert format_number(0.0, 7) == "0.0000000"
+    assert format_number(3e-7, 7) == "0.0000003"
 
 
 def test_options_validation():
