@@ -62,8 +62,13 @@ def test_parse_events_errors_carry_line_numbers():
                       "Other,2012-02-30,accepted"], "JSCS")
 
 
+def _records_of_both_journals():
+    return parse_events(EVENT_LINES, "JSCS") + parse_events(EVENT_LINES, "Entropy")
+
+
 def test_aggregate_counts_by_month_and_year():
-    records = parse_events(EVENT_LINES, "JSCS")
+    # an Entropy event inside the selected years must not be counted for JSCS
+    records = _records_of_both_journals() + [EventRecord("Entropy", date(2012, 1, 5), "accepted")]
     submitted, accepted = aggregate(records, "JSCS", (2012, 2013))
     assert submitted.years == (2012, 2013)
     assert submitted.counts[0] == (2, 0)  # Jan 2012: two submissions
@@ -74,9 +79,9 @@ def test_aggregate_counts_by_month_and_year():
 
 
 def test_aggregate_empty_selection():
+    records = _records_of_both_journals()
     with pytest.raises(DataError, match="empty selection"):
-        aggregate(parse_events(EVENT_LINES, "Nature"), "Nature", (2012,))
-    records = parse_events(EVENT_LINES, "JSCS")
+        aggregate(records, "Nature", (2012,))
     with pytest.raises(DataError, match="empty selection"):
         aggregate(records, "JSCS", (1999,))
 
