@@ -7,7 +7,7 @@ against the uniform month distribution, and one-sample t and z tests.
 from __future__ import annotations
 
 import math
-import statistics
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,8 +32,56 @@ class DescriptiveStats:
     n: int
 
 
+# bits kept by the square root before its final rounding, as in CPython's
+# statistics module: 2 x 53 + 3 leaves at least 55 bits in the root
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
 def _values(x: Sequence["float | None"]) -> list:
-    return [float(v) for v in x if v is not None]
+    values = [float(v) for v in x if v is not None]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    return values
+
+
+def _mean(values: list) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """sqrt(n / m) for ints n >= 0, m > 0, correctly rounded to a float.
+
+    The integer root of n / m scaled by 4^-q is taken with at least 55
+    bits and rounded to odd (its last bit is set when the root is inexact),
+    so the one final rounding to 53 bits is correct. This is the method of
+    CPython's statistics._float_sqrt_of_frac.
+    """
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _stdev(values: list) -> float:
+    """Sample (n-1) standard deviation, bit-identical to statistics.stdev.
+
+    A finite float is n / d with d a power of two, so over the largest
+    denominator D = 2^s the numerators N and the sums S1 = sum N and
+    S2 = sum N^2 are exact ints. The variance is then exactly
+    (c S2 - S1^2) / (c (c-1) D^2) for c values, and only its square root
+    is rounded.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    s = max(d for _, d in ratios).bit_length() - 1
+    nums = [n << (s + 1 - d.bit_length()) for n, d in ratios]
+    c = len(nums)
+    s1 = sum(nums)
+    s2 = sum(n * n for n in nums)
+    return _sqrt_of_frac(c * s2 - s1 * s1, c * (c - 1) << 2 * s)
 
 
 def describe(x: Sequence["float | None"]) -> DescriptiveStats:
@@ -41,8 +89,8 @@ def describe(x: Sequence["float | None"]) -> DescriptiveStats:
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values)
+    mean = _mean(values)
+    std = _stdev(values)
     return DescriptiveStats(mean, std, mean - 2.0 * std, mean + 2.0 * std, len(values))
 
 
@@ -90,8 +138,8 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values)
+    mean = _mean(values)
+    std = _stdev(values)
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
     n = len(values)
@@ -109,7 +157,7 @@ def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestRes
     values = _values(x)
     if not values:
         raise ValueError("empty sample")
-    mean = statistics.fmean(values)
+    mean = _mean(values)
     stat = (mean - k) / (sigma / math.sqrt(len(values)))
     p = 2.0 * (1.0 - normal_cdf(abs(stat)))
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")

@@ -15,6 +15,19 @@ series_strategy = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
     min_size=2, max_size=96,
 )
+long_series_strategy = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    min_size=2, max_size=480,
+)
+
+
+def assert_matches_numpy(x):
+    spectrum = dft_magnitudes(x)
+    ref = np.abs(np.fft.fft(np.asarray(x)))
+    assert len(spectrum) == len(x) // 2
+    for k, (freq, mag) in enumerate(spectrum, start=1):
+        assert freq == pytest.approx(k / len(x), abs=1e-15)
+        assert mag == pytest.approx(ref[k], abs=1e-6 + 1e-9 * abs(ref[k]))
 
 
 def test_pure_tone_peak():
@@ -28,12 +41,15 @@ def test_pure_tone_peak():
 
 
 def test_impulse_is_flat_and_tie_breaks_low():
-    x = [0.0] * 36
-    x[0] = 1.0
-    spectrum = dft_magnitudes(x)
-    assert all(m == pytest.approx(1.0, abs=1e-12) for _, m in spectrum)
-    peaks = top_peaks(x, 3)
-    assert [p.frequency for p in peaks] == pytest.approx([1 / 36, 2 / 36, 3 / 36])
+    # 36 and 240 take the FFT's mixed-radix path, the prime 241 its direct sum;
+    # the magnitudes tie exactly, so the lowest frequencies rank first
+    for T in (36, 240, 241):
+        x = [0.0] * T
+        x[0] = 1.0
+        spectrum = dft_magnitudes(x)
+        assert all(m == pytest.approx(1.0, abs=1e-12) for _, m in spectrum)
+        peaks = top_peaks(x, 3)
+        assert [p.frequency for p in peaks] == pytest.approx([1 / T, 2 / T, 3 / T])
 
 
 def test_dc_component_excluded():
@@ -59,14 +75,16 @@ def test_reference_series_spectra(jscs_matrices, ent_matrices):
 
 
 @settings(max_examples=40)
-@given(series_strategy)
+@given(long_series_strategy)
 def test_magnitudes_match_numpy(x):
-    spectrum = dft_magnitudes(x)
-    ref = np.abs(np.fft.fft(np.asarray(x)))
-    assert len(spectrum) == len(x) // 2
-    for k, (freq, mag) in enumerate(spectrum, start=1):
-        assert freq == pytest.approx(k / len(x), abs=1e-15)
-        assert mag == pytest.approx(ref[k], abs=1e-6 + 1e-9 * abs(ref[k]))
+    assert_matches_numpy(x)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5, 7, 12, 36, 60, 240, 241, 480, 1200])
+def test_magnitudes_match_numpy_at_fixed_lengths(T):
+    # 240 is the 20-year series, 241 a prime length (direct-sum fallback)
+    rng = np.random.default_rng(T)
+    assert_matches_numpy(list(rng.uniform(-1e3, 1e3, T)))
 
 
 @settings(max_examples=40)

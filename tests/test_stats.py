@@ -1,9 +1,10 @@
 """Descriptive statistics, chi-square, t, and z tests."""
 
 import math
+import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import special as sps
 from scipy import stats as spstats
 
@@ -50,6 +51,35 @@ def test_describe_skips_none_and_needs_two():
     assert d.n == 2
     with pytest.raises(ValueError, match="at least 2"):
         describe([1.0, None])
+
+
+# finite floats from the subnormals up to 2^1019 in magnitude, with each
+# element on its own scale; 30 of them still sum below the float maximum
+scaled_floats = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1019))
+
+
+@given(st.lists(scaled_floats, min_size=2, max_size=30))
+@example([1e308, -1e308])
+@example([1e308, 7e307, -1e308])
+@example([5e-324, 0.0, -5e-324])
+@example([2.2250738585072014e-308, 5e-324])
+@example([0.1] * 12)
+@example([1e-300, 1e300])
+def test_describe_std_is_statistics_stdev(x):
+    # exact equality: the standard deviation is the correctly rounded root
+    # of the exact variance, as statistics.stdev computes it
+    assert describe(x).std_dev == statistics.stdev(x)
+
+
+def test_non_finite_values_refused():
+    for bad in (math.nan, math.inf, -math.inf):
+        x = [0.1, bad, 0.2]
+        with pytest.raises(ValueError, match="values must be finite"):
+            describe(x)
+        with pytest.raises(ValueError, match="values must be finite"):
+            t_one_sample(x, 0.0)
+        with pytest.raises(ValueError, match="values must be finite"):
+            z_one_sample(x, 0.0, 1.0)
 
 
 def test_chi_square_reference_values(jscs_matrices, ent_matrices):
@@ -124,7 +154,6 @@ def test_t_one_sample_hand_case():
          (-1.50755672, -0.95346259, -0.61628509, -0.35208849, -0.11327373,
           0.11327373, 0.35208849, 0.61628509, 0.95346259, 1.50755672, 0.0, 0.0)]
     # exact symmetric sample: mean .5; rescale to sd .1 exactly
-    import statistics
     scale = 0.1 / statistics.stdev(x)
     x = [0.5 + (v - 0.5) * scale for v in x]
     result = t_one_sample(x, 0.4)
@@ -144,6 +173,11 @@ def test_t_one_sample_matches_scipy(jscs_matrices):
 def test_t_one_sample_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
         t_one_sample([0.5] * 12, 0.4)
+    # constant columns whose value is not a short binary fraction, one of them
+    # the default --t-null share, have a variance of exactly zero too
+    for value in (0.1, 0.0833333, 1 / 3):
+        with pytest.raises(ValueError, match="degenerate"):
+            t_one_sample([value] * 12, 1 / 12)
     with pytest.raises(ValueError, match="at least 2"):
         t_one_sample([0.5], 0.4)
 
@@ -171,7 +205,6 @@ def test_z_matches_normal_tail():
 
 @given(st.lists(st.floats(0.01, 0.99), min_size=3, max_size=24), st.floats(-1, 1))
 def test_t_p_value_in_unit_interval(x, k):
-    import statistics
     if statistics.stdev(x) == 0.0:
         return
     result = t_one_sample(x, k)
