@@ -4,8 +4,9 @@ Reconstructs integer monthly counts for both journals from the published
 share tables and writes them as data/journal_counts.csv. Then regenerates
 every golden set in data/golden/ in all three output formats by running the
 CLI as `refvalues.GOLDEN_RUNS` lists: jscs and entropy on that file with
-default options, and edge on the hand-written data/edge_counts.csv. Run
-from the repository root:
+default options, edge on the hand-written data/edge_counts.csv, and long on
+data/long_counts.csv (the benchmark generator's 20-year series for seed 1,
+committed as data and not rebuilt here). Run from the repository root:
 
     python3 scripts/build_reference_dataset.py
 """

@@ -44,10 +44,6 @@ def _values(x: Sequence["float | None"]) -> list:
     return values
 
 
-def _mean(values: list) -> float:
-    return math.fsum(values) / len(values)
-
-
 def _sqrt_of_frac(n: int, m: int) -> float:
     """sqrt(n / m) for ints n >= 0, m > 0, correctly rounded to a float.
 
@@ -89,7 +85,7 @@ def describe(x: Sequence["float | None"]) -> DescriptiveStats:
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = _mean(values)
+    mean = math.fsum(values) / len(values)
     std = _stdev(values)
     return DescriptiveStats(mean, std, mean - 2.0 * std, mean + 2.0 * std, len(values))
 
@@ -138,7 +134,7 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = _mean(values)
+    mean = math.fsum(values) / len(values)
     std = _stdev(values)
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
@@ -157,7 +153,7 @@ def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestRes
     values = _values(x)
     if not values:
         raise ValueError("empty sample")
-    mean = _mean(values)
+    mean = math.fsum(values) / len(values)
     stat = (mean - k) / (sigma / math.sqrt(len(values)))
     p = 2.0 * (1.0 - normal_cdf(abs(stat)))
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")
