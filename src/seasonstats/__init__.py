@@ -9,7 +9,7 @@ from .indices import (diversity, entropy, exponential_entropy, gini, hhi, lorenz
 from .ingest import (CountMatrix, DataError, EventRecord, RoundingAdjustment,
                      aggregate, counts_from_shares, matrices_from_counts,
                      parse_counts, parse_events)
-from .probability import ConditionalTable, ShareTable, conditional, normalize, shares
+from .probability import MonthTable, conditional, normalize, shares
 from .report import (AnalysisBundle, AnalysisOptions, NamedDocument,
                      build_bundle, render)
 from .spectral import SpectralPeak, dft_magnitudes, top_peaks
@@ -19,9 +19,9 @@ from .stats import (DescriptiveStats, TestResult, chi_square_uniform,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisBundle", "AnalysisOptions", "ConditionalTable", "CountMatrix",
-    "DataError", "DescriptiveStats", "EventRecord", "NamedDocument",
-    "RoundingAdjustment", "ShareTable", "SpectralPeak",
+    "AnalysisBundle", "AnalysisOptions", "CountMatrix",
+    "DataError", "DescriptiveStats", "EventRecord", "MonthTable", "NamedDocument",
+    "RoundingAdjustment", "SpectralPeak",
     "TestResult", "aggregate", "build_bundle", "chi_square_uniform",
     "conditional", "counts_from_shares", "describe", "dft_magnitudes",
     "diversity", "entropy", "exponential_entropy", "gini", "hhi", "lorenz",

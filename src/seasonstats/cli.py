@@ -13,9 +13,6 @@ from . import __version__
 from .ingest import DataError, aggregate, matrices_from_counts, parse_counts, parse_events
 from .report import FORMATS, AnalysisOptions, build_bundle, render
 
-_EXTENSIONS = {"csv": "csv", "json": "json", "md": "md"}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; validation errors are exit 1 here
     def error(self, message):
@@ -92,12 +89,12 @@ def main(argv=None) -> int:
         years = None if args.years is None else _parse_years(args.years)
         if args.format == "events":
             events = parse_events(lines, args.journal)
+            if not events:
+                raise DataError(f"empty selection: no rows for journal {args.journal!r}")
             if years is None:
-                if not events:
-                    raise DataError(f"empty selection: no rows for journal {args.journal!r}")
                 mine = [e.submitted_at.year for e in events]
                 years = tuple(range(min(mine), max(mine) + 1))
-            submitted, accepted = aggregate(events, args.journal, years)
+            submitted, accepted = aggregate(events, years)
         else:
             rows = parse_counts(lines)
             submitted, accepted = matrices_from_counts(rows, args.journal, years)
@@ -109,7 +106,7 @@ def main(argv=None) -> int:
             z_null=args.z_null,
         )
         bundle = build_bundle(submitted, accepted, options, journal=args.journal)
-        documents = render(bundle, args.emit, args.precision)
+        documents = render(bundle, args.emit)
     except DataError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
@@ -118,8 +115,7 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for doc in documents:
-            (out_dir / f"{doc.name}.{_EXTENSIONS[args.emit]}").write_text(
-                doc.text, encoding="utf-8")
+            (out_dir / f"{doc.name}.{args.emit}").write_text(doc.text, encoding="utf-8")
     except OSError as exc:
         print(f"analyze: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,8 @@ class RoundingAdjustment(UserWarning):
 
 @dataclass(frozen=True)
 class EventRecord:
-    journal: str
+    """One submission of the journal `parse_events` selected."""
+
     submitted_at: date
     decision: str
 
@@ -130,13 +131,12 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
                 raise DataError(f"unknown decision {field!r} at line {lineno}")
             decisions[raw_decision] = decision
         if raw_journal.strip() == journal:
-            records.append(EventRecord(journal, submitted_at, decision))
+            records.append(EventRecord(submitted_at, decision))
     return records
 
 
-def aggregate(events: Sequence[EventRecord], journal: str,
-              years: Sequence[int]) -> tuple:
-    """Count events into a (submitted, accepted) matrix pair."""
+def aggregate(events: Sequence[EventRecord], years: Sequence[int]) -> tuple:
+    """Count one journal's events in `years` into a (submitted, accepted) matrix pair."""
     years = tuple(sorted(set(int(y) for y in years)))
     if not years:
         raise DataError("empty year range")
@@ -145,7 +145,7 @@ def aggregate(events: Sequence[EventRecord], journal: str,
     acc = [[0] * len(years) for _ in range(MONTHS_PER_YEAR)]
     selected = 0
     for ev in events:
-        if ev.journal != journal or ev.submitted_at.year not in index:
+        if ev.submitted_at.year not in index:
             continue
         selected += 1
         m = ev.submitted_at.month - 1
@@ -154,7 +154,7 @@ def aggregate(events: Sequence[EventRecord], journal: str,
         if ev.decision == "accepted":
             acc[m][j] += 1
     if selected == 0:
-        raise DataError(f"empty selection: no {journal!r} events in {years[0]}-{years[-1]}")
+        raise DataError(f"empty selection: no events in {years[0]}-{years[-1]}")
     submitted = CountMatrix(years, tuple(tuple(r) for r in sub), "submitted")
     accepted = CountMatrix(years, tuple(tuple(r) for r in acc), "accepted")
     return submitted, accepted

@@ -1,9 +1,9 @@
 """Share tables and conditional acceptance probabilities.
 
-A share table holds per-year monthly probability columns plus the
-cumulated column built from month totals across years. A conditional
-table holds the per-cell accepted/submitted ratios, which do not sum
-to 1; their column sums are first-class values.
+Both are month tables: per-year monthly columns plus a cumulated column
+built from month totals across years. Share columns sum to 1; the
+conditional table holds per-cell accepted/submitted ratios, which do not,
+and marks a month with no submissions as undefined (None).
 """
 from __future__ import annotations
 
@@ -14,34 +14,18 @@ from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
 
 
 @dataclass(frozen=True)
-class ShareTable:
-    """Monthly probability columns q[m, y] plus the cumulated distribution."""
+class MonthTable:
+    """Monthly columns of shares or ratios, per year and cumulated."""
 
     years: tuple
-    per_year: tuple  # 12 rows, one share per year
-    cumulated: tuple  # 12 shares over summed counts
-    totals: tuple
-    cumulated_counts: tuple
+    per_year: tuple  # 12 rows, one value (or None) per year
+    cumulated: tuple  # 12 values over the month totals across years
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.per_year)
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
-    """Per-cell acceptance ratios; None marks months with no submissions."""
-
-    years: tuple
-    per_year: tuple  # 12 rows of ratios or None
-    cumulated: tuple
-    sums: tuple  # per-year sums over defined entries
-    cumulated_sum: float
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.per_year)
-
-
-def shares(matrix: CountMatrix) -> ShareTable:
+def shares(matrix: CountMatrix) -> MonthTable:
     """Per-year and cumulated monthly shares of a count matrix."""
     totals = matrix.totals
     for y, total in zip(matrix.years, totals):
@@ -54,10 +38,10 @@ def shares(matrix: CountMatrix) -> ShareTable:
     cumulated_counts = matrix.cumulated
     grand = sum(cumulated_counts)
     cumulated = tuple(c / grand for c in cumulated_counts)
-    return ShareTable(matrix.years, per_year, cumulated, totals, cumulated_counts)
+    return MonthTable(matrix.years, per_year, cumulated)
 
 
-def conditional(submitted: CountMatrix, accepted: CountMatrix) -> ConditionalTable:
+def conditional(submitted: CountMatrix, accepted: CountMatrix) -> MonthTable:
     """Acceptance probability per (month, year) cell and cumulated per month.
 
     A month with zero submissions has no defined acceptance rate; the cell
@@ -79,12 +63,7 @@ def conditional(submitted: CountMatrix, accepted: CountMatrix) -> ConditionalTab
         None if sub_cum[m] == 0 else acc_cum[m] / sub_cum[m]
         for m in range(MONTHS_PER_YEAR)
     )
-    sums = tuple(
-        sum(row[j] for row in per_year if row[j] is not None)
-        for j in range(n_years)
-    )
-    cumulated_sum = sum(v for v in cumulated if v is not None)
-    return ConditionalTable(submitted.years, tuple(per_year), cumulated, sums, cumulated_sum)
+    return MonthTable(submitted.years, tuple(per_year), cumulated)
 
 
 def normalize(vector: Sequence["float | None"]) -> tuple:

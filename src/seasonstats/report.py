@@ -5,6 +5,10 @@ accepted shares (t2), conditional acceptance probabilities (t3), monthly
 information-entropy terms of the conditionals (t4), the index block (t5),
 and the dominant Fourier peaks (t6).
 
+`build_bundle` computes each footer and index row once, as a (row label,
+value) pair of its column; `render` lays the rows out as CSV, Markdown or
+JSON at `AnalysisOptions.precision` and computes no statistics.
+
 Index-block inputs are taken from the tables at their quoted precision:
 shares at the configured precision, acceptance ratios at the four decimal
 places the reference layout quotes them with (rounded, then renormalized
@@ -19,14 +23,14 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal
-from operator import attrgetter
 
 from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
-from .probability import ConditionalTable, ShareTable, conditional, normalize, shares
-from .spectral import SpectralPeak, top_peaks
-from .stats import DescriptiveStats, TestResult, chi_square_uniform, describe, t_one_sample, z_one_sample
+from .probability import MonthTable, conditional, normalize, shares
+from .spectral import top_peaks
+from .stats import chi_square_uniform, describe, t_one_sample, z_one_sample
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -39,6 +43,9 @@ TOP_PEAK_COUNT = 2
 RATIO_QUOTED_PLACES = 4
 
 
+def _quantize(x: float, places: int, rounding: str) -> Decimal:
+    return Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-places), rounding=rounding)
+
 def quote_half_down(x: float, places: int) -> float:
     """Round to `places` decimals, halves toward zero.
 
@@ -47,13 +54,11 @@ def quote_half_down(x: float, places: int) -> float:
     inputs with the same rule; rendered output keeps the
     half-away-from-zero convention.
     """
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_DOWN))
+    return float(_quantize(x, places, ROUND_HALF_DOWN))
 
 def format_number(x: float, places: int) -> str:
-    q = Decimal(1).scaleb(-places)
     # "f": str() would write values below 1e-6 as 0E-7, 3E-7
-    return format(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_UP), "f")
+    return format(_quantize(x, places, ROUND_HALF_UP), "f")
 
 
 @dataclass(frozen=True)
@@ -80,40 +85,6 @@ class AnalysisOptions:
 
 
 @dataclass(frozen=True)
-class ShareFooter:
-    chi_square: TestResult
-    entropy: float
-    t: TestResult
-    z: "TestResult | None"
-    stats: DescriptiveStats
-
-
-@dataclass(frozen=True)
-class ConditionalFooter:
-    total: float  # sum of the defined ratios
-    cond_entropy: float  # entropy of the raw ratio column
-    t: TestResult
-    z: "TestResult | None"
-    stats: DescriptiveStats
-
-
-@dataclass(frozen=True)
-class TermsFooter:
-    total: float  # sum of the defined terms
-    stats: DescriptiveStats
-
-
-@dataclass(frozen=True)
-class IndexColumn:
-    label: str
-    diversities: tuple  # (order q, value) pairs
-    exponential_entropy: float
-    theil: float
-    hhi: float
-    gini: float
-
-
-@dataclass(frozen=True)
 class NamedDocument:
     name: str
     text: str
@@ -124,15 +95,17 @@ class AnalysisBundle:
     journal: str
     years: tuple
     column_labels: tuple  # per-year labels plus the cumulated label
-    submitted: ShareTable
-    accepted: ShareTable
-    conditional: ConditionalTable
+    submitted: MonthTable  # shares
+    accepted: MonthTable  # shares
+    conditional: MonthTable  # acceptance ratios, None where nothing was submitted
+    # each *_footers entry is one column's footer rows, a list of
+    # (row label, value) pairs in document order
     submitted_footers: tuple
     accepted_footers: tuple
     conditional_footers: tuple
     entropy_terms: tuple  # per column, 12 terms with None preserved
     entropy_footers: tuple
-    index_blocks: tuple  # (block name, tuple of IndexColumn) pairs
+    index_blocks: tuple  # (block name, per-column lists of (row label, value)) pairs
     peaks: tuple  # (series name, list of SpectralPeak) pairs
     options: AnalysisOptions
 
@@ -141,44 +114,45 @@ def _columns(table) -> list:
     """Per-year columns of a count, share or ratio table, then the cumulated one."""
     return [table.column(j) for j in range(len(table.years))] + [table.cumulated]
 
-def _share_footer(col, counts, options) -> ShareFooter:
-    return ShareFooter(
-        chi_square=chi_square_uniform(counts),
-        entropy=entropy(col),
-        t=t_one_sample(col, options.t_null),
-        z=None if options.z_sigma is None else z_one_sample(col, options.z_null, options.z_sigma),
-        stats=describe(col),
-    )
+def _test_rows(name, result) -> list:
+    return [(name, result.statistic), (f"{name}_p", result.p_value)]
 
-def _conditional_footer(col, options) -> ConditionalFooter:
-    return ConditionalFooter(
-        total=sum(v for v in col if v is not None),
-        cond_entropy=entropy(col),
-        t=t_one_sample(col, options.t_null),
-        z=None if options.z_sigma is None else z_one_sample(col, options.z_null, options.z_sigma),
-        stats=describe(col),
-    )
+def _band_rows(col) -> list:
+    stats = describe(col)
+    return [("mean", stats.mean), ("std_dev", stats.std_dev),
+            ("mean_minus_2sd", stats.band_low), ("mean_plus_2sd", stats.band_high)]
 
-def _terms_footer(terms) -> TermsFooter:
-    return TermsFooter(total=sum(v for v in terms if v is not None), stats=describe(terms))
+def _tested_rows(col, options) -> list:
+    """The t rows, the z rows when a z test is configured, then the band rows."""
+    rows = _test_rows("t", t_one_sample(col, options.t_null))
+    if options.z_sigma is not None:
+        rows += _test_rows("z", z_one_sample(col, options.z_null, options.z_sigma))
+    return rows + _band_rows(col)
 
-def _index_column(label, vector, options, ratios: bool) -> IndexColumn:
+def _defined_sum(col) -> float:
+    return sum(v for v in col if v is not None)
+
+def _share_footer(col, counts, options) -> list:
+    return [*_test_rows("chi_square", chi_square_uniform(counts)),
+            ("entropy", entropy(col)), *_tested_rows(col, options)]
+
+def _conditional_footer(col, options) -> list:
+    # cond_entropy is the entropy of the raw ratio column
+    return [("sum", _defined_sum(col)), ("cond_entropy", entropy(col)),
+            *_tested_rows(col, options)]
+
+def _terms_footer(terms) -> list:
+    return [("sum", _defined_sum(terms)), *_band_rows(terms)]
+
+def _index_column(vector, options, ratios: bool) -> list:
     places = RATIO_QUOTED_PLACES if ratios else options.precision
     rounded = tuple(None if v is None else quote_half_down(v, places)
                     for v in vector)
     normalized = normalize(rounded)
-    if ratios:
-        divs = tuple((q, diversity(rounded, q)) for q in options.q_orders)
-    else:
-        divs = tuple((q, diversity(normalized, q)) for q in options.q_orders)
-    return IndexColumn(
-        label=label,
-        diversities=divs,
-        exponential_entropy=exponential_entropy(normalized),
-        theil=theil(normalized),
-        hhi=hhi(normalized),
-        gini=gini(normalized),
-    )
+    hill_input = rounded if ratios else normalized
+    return [*((f"D{q:g}", diversity(hill_input, q)) for q in options.q_orders),
+            ("exp_entropy", exponential_entropy(normalized)), ("theil", theil(normalized)),
+            ("hhi", hhi(normalized)), ("gini", gini(normalized))]
 
 
 def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
@@ -196,33 +170,26 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
     cond = conditional(submitted, accepted)
     sub_cols, acc_cols, cond_cols = _columns(sub_shares), _columns(acc_shares), _columns(cond)
 
-    def _context(table_name, label, fn, *args):
-        try:
-            return fn(*args)
-        except ValueError as exc:
-            raise DataError(f"{table_name}, column {label}: {exc}") from exc
+    def per_column(table_name, fn, *column_lists):
+        """fn over each column; a ValueError becomes a DataError naming table and column."""
+        results = []
+        for label, *args in zip(labels, *column_lists):
+            try:
+                results.append(fn(*args))
+            except ValueError as exc:
+                raise DataError(f"{table_name}, column {label}: {exc}") from exc
+        return tuple(results)
 
-    sub_footers = tuple(
-        _context("t1_submitted", lab, _share_footer, share_col, counts_col, options)
-        for lab, share_col, counts_col in zip(labels, sub_cols, _columns(submitted))
-    )
-    acc_footers = tuple(
-        _context("t2_accepted", lab, _share_footer, share_col, counts_col, options)
-        for lab, share_col, counts_col in zip(labels, acc_cols, _columns(accepted))
-    )
-    cond_footers = tuple(
-        _context("t3_conditional", lab, _conditional_footer, col, options)
-        for lab, col in zip(labels, cond_cols)
-    )
+    share_footer = partial(_share_footer, options=options)
+    sub_footers = per_column("t1_submitted", share_footer, sub_cols, _columns(submitted))
+    acc_footers = per_column("t2_accepted", share_footer, acc_cols, _columns(accepted))
+    cond_footers = per_column("t3_conditional", partial(_conditional_footer, options=options),
+                              cond_cols)
     terms = tuple(monthly_entropy_terms(col) for col in cond_cols)
-    terms_footers = tuple(
-        _context("t4_monthly_entropy", lab, _terms_footer, col)
-        for lab, col in zip(labels, terms)
-    )
-
+    terms_footers = per_column("t4_monthly_entropy", _terms_footer, terms)
     index_blocks = tuple(
-        (block, tuple(_context(f"t5_indices {block}", lab, _index_column, lab, col, options, ratios)
-                      for lab, col in zip(labels, cols)))
+        (block, per_column(f"t5_indices {block}",
+                           partial(_index_column, options=options, ratios=ratios), cols))
         for block, cols, ratios in (("submitted", sub_cols, False),
                                     ("accepted", acc_cols, False),
                                     ("conditional", cond_cols, True))
@@ -262,18 +229,6 @@ def _jnum(value, places):
     return float(format_number(value, places))
 
 
-# Row layout of every document: a (row label, attribute path) spec per footer
-# or index row, read from the bundle's footer and index objects.
-_SHARE_ROWS = (("chi_square", "chi_square.statistic"), ("chi_square_p", "chi_square.p_value"),
-               ("entropy", "entropy"), ("t", "t.statistic"), ("t_p", "t.p_value"))
-_CONDITIONAL_ROWS = (("sum", "total"), ("cond_entropy", "cond_entropy"),
-                     ("t", "t.statistic"), ("t_p", "t.p_value"))
-_TERMS_ROWS = (("sum", "total"),)
-_Z_ROWS = (("z", "z.statistic"), ("z_p", "z.p_value"))
-_BAND_ROWS = (("mean", "stats.mean"), ("std_dev", "stats.std_dev"),
-              ("mean_minus_2sd", "stats.band_low"), ("mean_plus_2sd", "stats.band_high"))
-_INDEX_ROWS = (("exp_entropy", "exponential_entropy"), ("theil", "theil"),
-               ("hhi", "hhi"), ("gini", "gini"))
 _PEAK_COLUMNS = ("frequency", "period_months", "amplitude")
 
 
@@ -284,37 +239,31 @@ class _Layout:
     rows: list  # (row keys, raw values) pairs, one value per value column
 
 
-def _spec_rows(specs, objects, keys=()):
-    return [((*keys, label), tuple(map(attrgetter(path), objects))) for label, path in specs]
+def _labelled_rows(columns, keys=()) -> list:
+    """One row per label of the per-column (label, value) lists, in their order."""
+    return [((*keys, label), tuple(col[i][1] for col in columns))
+            for i, (label, _) in enumerate(columns[0])]
 
-def _month_layout(columns, footers, footer_specs, labels) -> _Layout:
-    """Twelve month rows, then one row per footer spec."""
+def _month_layout(columns, footers, labels) -> _Layout:
+    """Twelve month rows, then the footer rows."""
     rows = [((MONTH_LABELS[m],), tuple(col[m] for col in columns))
             for m in range(MONTHS_PER_YEAR)]
-    return _Layout(("row",), labels, rows + _spec_rows(footer_specs, footers))
+    return _Layout(("row",), labels, rows + _labelled_rows(footers))
 
 def _layouts(bundle) -> dict:
     """Every document's rows, in raw values, keyed by document name."""
     labels = bundle.column_labels
-    z_rows = _Z_ROWS if bundle.submitted_footers[0].z is not None else ()
-    share_rows = _SHARE_ROWS + z_rows + _BAND_ROWS
-    index_rows = []
-    for block, cols in bundle.index_blocks:
-        for i, (q, _) in enumerate(cols[0].diversities):
-            index_rows.append(((block, f"D{q:g}"), tuple(c.diversities[i][1] for c in cols)))
-        index_rows += _spec_rows(_INDEX_ROWS, cols, (block,))
+    index_rows = [row for block, cols in bundle.index_blocks
+                  for row in _labelled_rows(cols, (block,))]
     peak_rows = [((series, rank), (p.frequency, p.period, p.amplitude))
                  for series, peaks in bundle.peaks
                  for rank, p in enumerate(peaks, start=1)]
     return {
-        "t1_submitted": _month_layout(_columns(bundle.submitted), bundle.submitted_footers,
-                                      share_rows, labels),
-        "t2_accepted": _month_layout(_columns(bundle.accepted), bundle.accepted_footers,
-                                     share_rows, labels),
+        "t1_submitted": _month_layout(_columns(bundle.submitted), bundle.submitted_footers, labels),
+        "t2_accepted": _month_layout(_columns(bundle.accepted), bundle.accepted_footers, labels),
         "t3_conditional": _month_layout(_columns(bundle.conditional), bundle.conditional_footers,
-                                        _CONDITIONAL_ROWS + z_rows + _BAND_ROWS, labels),
-        "t4_monthly_entropy": _month_layout(bundle.entropy_terms, bundle.entropy_footers,
-                                            _TERMS_ROWS + _BAND_ROWS, labels),
+                                        labels),
+        "t4_monthly_entropy": _month_layout(bundle.entropy_terms, bundle.entropy_footers, labels),
         "t5_indices": _Layout(("block", "index"), labels, index_rows),
         "t6_fourier": _Layout(("series", "rank"), _PEAK_COLUMNS, peak_rows),
     }
@@ -375,15 +324,13 @@ _NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
             ("series", "rank"): _nest_series}
 
 
-def render(bundle: AnalysisBundle, format: str, precision: "int | None" = None) -> list:
-    """Render the six documents in the requested format."""
+def render(bundle: AnalysisBundle, format: str) -> list:
+    """Render the six documents in the requested format at the bundle's precision."""
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}, expected one of {', '.join(FORMATS)}")
-    places = bundle.options.precision if precision is None else int(precision)
-    if not 1 <= places <= 12:
-        raise DataError("precision must lie in 1..12")
     if not bundle.years or not bundle.column_labels:
         raise DataError("empty bundle")
+    places = bundle.options.precision
 
     documents = []
     for name, layout in _layouts(bundle).items():

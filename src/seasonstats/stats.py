@@ -44,6 +44,13 @@ def _values(x: Sequence["float | None"]) -> list:
     return values
 
 
+def _mean(values: list) -> float:
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise ValueError("sum of values overflows the float range") from None
+
+
 def _sqrt_of_frac(n: int, m: int) -> float:
     """sqrt(n / m) for ints n >= 0, m > 0, correctly rounded to a float.
 
@@ -77,7 +84,10 @@ def _stdev(values: list) -> float:
     c = len(nums)
     s1 = sum(nums)
     s2 = sum(n * n for n in nums)
-    return _sqrt_of_frac(c * s2 - s1 * s1, c * (c - 1) << 2 * s)
+    try:
+        return _sqrt_of_frac(c * s2 - s1 * s1, c * (c - 1) << 2 * s)
+    except OverflowError:
+        raise ValueError("standard deviation overflows the float range") from None
 
 
 def describe(x: Sequence["float | None"]) -> DescriptiveStats:
@@ -85,7 +95,7 @@ def describe(x: Sequence["float | None"]) -> DescriptiveStats:
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = math.fsum(values) / len(values)
+    mean = _mean(values)
     std = _stdev(values)
     return DescriptiveStats(mean, std, mean - 2.0 * std, mean + 2.0 * std, len(values))
 
@@ -134,7 +144,7 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = math.fsum(values) / len(values)
+    mean = _mean(values)
     std = _stdev(values)
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
@@ -153,7 +163,7 @@ def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestRes
     values = _values(x)
     if not values:
         raise ValueError("empty sample")
-    mean = math.fsum(values) / len(values)
+    mean = _mean(values)
     stat = (mean - k) / (sigma / math.sqrt(len(values)))
     p = 2.0 * (1.0 - normal_cdf(abs(stat)))
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")

@@ -127,6 +127,24 @@ def test_unknown_journal_exits_1(counts_csv, tmp_path, capsys):
     assert "empty selection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("years", [(), ("--years", "2021:2022")])
+def test_events_unknown_journal_exits_1(events_csv, tmp_path, capsys, years):
+    code = _run(["--input", events_csv, "--format", "events",
+                 "--journal", "Nature", *years, "--out", tmp_path / "x"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "empty selection" in err and "'Nature'" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_events_years_without_rows_exit_1(events_csv, tmp_path, capsys):
+    code = _run(["--input", events_csv, "--format", "events", "--journal", "Demo",
+                 "--years", "1999:1999", "--out", tmp_path / "x"])
+    assert code == 1
+    assert "empty selection: no events in 1999-1999" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_year_range_exits_1(counts_csv, tmp_path, capsys):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--years", "2014:2012", "--out", tmp_path / "x"])

@@ -60,14 +60,6 @@ def test_conditional_matches_reference(jscs_matrices, ent_matrices):
             assert cond.cumulated[m] == pytest.approx(table[m][3], abs=5e-4)
 
 
-def test_conditional_sums_match_reference(jscs_matrices, ent_matrices):
-    for matrices, offset in ((jscs_matrices, 0), (ent_matrices, 4)):
-        cond = conditional(*matrices)
-        for j in range(3):
-            assert cond.sums[j] == pytest.approx(rv.T3_SUM[offset + j], abs=5e-4)
-        assert cond.cumulated_sum == pytest.approx(rv.T3_SUM[offset + 3], abs=5e-4)
-
-
 def test_conditional_zero_submissions_is_none():
     sub = [[10] * 12]
     acc = [[5] * 12]
@@ -76,9 +68,6 @@ def test_conditional_zero_submissions_is_none():
     cond = conditional(_matrix(sub), _matrix(acc, "accepted"))
     assert cond.per_year[3][0] is None
     assert cond.cumulated[3] is None
-    # None months drop out of the sums
-    assert cond.sums[0] == pytest.approx(11 * 0.5)
-    assert cond.cumulated_sum == pytest.approx(11 * 0.5)
 
 
 def test_conditional_rejects_accepted_over_submitted():
@@ -125,9 +114,6 @@ def test_normalize_preserves_positions(vector):
 def test_conditional_cells_bounded(sub_counts, acc_counts):
     acc_counts = [min(a, s) for a, s in zip(acc_counts, sub_counts)]
     cond = conditional(_matrix([sub_counts]), _matrix([acc_counts], "accepted"))
-    for row in cond.per_year:
+    for row in (*cond.per_year, cond.cumulated):
         for cell in row:
             assert cell is None or 0.0 <= cell <= 1.0
-    total_sub = sum(sub_counts)
-    if total_sub:
-        assert cond.cumulated_sum <= 12.0 + 1e-12

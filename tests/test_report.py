@@ -66,10 +66,9 @@ def test_bundle_structure(jscs_bundle):
 
 
 def test_index_blocks_match_reference(jscs_bundle, ent_bundle):
-    key_to_field = {
-        "ee": "exponential_entropy", "th": "theil", "hhi": "hhi", "gi": "gini"}
+    key_to_label = {"ee": "exp_entropy", "th": "theil", "hhi": "hhi", "gi": "gini"}
     for block_name, _ in jscs_bundle.index_blocks:
-        for key, field in key_to_field.items():
+        for key, label in key_to_label.items():
             expected = rv.T5[block_name][key]
             for offset, bundle in ((0, jscs_bundle), (4, ent_bundle)):
                 columns = dict(bundle.index_blocks)[block_name]
@@ -77,7 +76,7 @@ def test_index_blocks_match_reference(jscs_bundle, ent_bundle):
                     if block_name == "accepted" and key == "gi" and offset + j == 1:
                         continue  # 2013 cell reflects a different distribution
                     tol = 1e-3 if key == "gi" else 5e-4
-                    assert getattr(col, field) == pytest.approx(
+                    assert dict(col)[label] == pytest.approx(
                         expected[offset + j], abs=tol), (block_name, key, offset + j)
 
 
@@ -87,7 +86,7 @@ def test_diversity_rows_match_reference(jscs_bundle, ent_bundle):
         for offset, bundle in ((0, jscs_bundle), (4, ent_bundle)):
             columns = dict(bundle.index_blocks)[block_name]
             for j, col in enumerate(columns):
-                d1 = dict(col.diversities)[1.0]
+                d1 = dict(col)["D1"]
                 assert d1 == pytest.approx(expected[offset + j], abs=5e-4 * expected[offset + j])
 
 
@@ -97,8 +96,6 @@ def test_render_names_and_formats(jscs_bundle):
         assert [d.name for d in documents] == list(DOCUMENT_NAMES)
     with pytest.raises(DataError, match="unknown format"):
         render(jscs_bundle, "xml")
-    with pytest.raises(DataError, match="precision"):
-        render(jscs_bundle, "csv", precision=0)
 
 
 def test_csv_share_document(jscs_bundle):
@@ -194,8 +191,15 @@ def test_z_rows_emitted_when_configured(jscs_matrices):
     assert "z_p" in body["columns"]["[2012-2014]"]["footer"]
 
 
-def test_precision_override(jscs_bundle):
-    grid = _parse_csv(_doc(render(jscs_bundle, "csv", precision=4), "t1_submitted").text)
+def test_conditional_sum_row_matches_reference(jscs_bundle, ent_bundle):
+    for bundle, offset in ((jscs_bundle, 0), (ent_bundle, 4)):
+        for j, footer in enumerate(bundle.conditional_footers):
+            assert dict(footer)["sum"] == pytest.approx(rv.T3_SUM[offset + j], abs=5e-4)
+
+
+def test_precision_override(jscs_matrices):
+    bundle = build_bundle(*jscs_matrices, AnalysisOptions(precision=4), journal="JSCS")
+    grid = _parse_csv(_doc(render(bundle, "csv"), "t1_submitted").text)
     assert grid[1][1] == "0.0820"
 
 
@@ -209,10 +213,20 @@ def test_undefined_cells_render_na_and_null():
     bundle = build_bundle(sub, acc, journal="demo")
     grid = _parse_csv(_doc(render(bundle, "csv"), "t3_conditional").text)
     assert grid[8][1] == "NA"  # August
+    # the undefined month drops out of the sum: six ratios of 0.5, five of 0.4
+    assert grid[13] == ["sum", "5.00000", "5.00000"]
     body = json.loads(_doc(render(bundle, "json"), "t3_conditional").text)
     assert body["columns"]["2020"]["months"]["Aug"] is None
     terms = json.loads(_doc(render(bundle, "json"), "t4_monthly_entropy").text)
     assert terms["columns"]["2020"]["months"]["Aug"] is None
+
+
+def test_footer_errors_name_table_and_column():
+    # equal monthly counts give a constant share column, which the t test refuses
+    sub = CountMatrix((2020,), ((10,),) * 12, "submitted")
+    acc = CountMatrix((2020,), ((5,), (4,)) * 6, "accepted")
+    with pytest.raises(DataError, match=r"^t1_submitted, column 2020: degenerate sample"):
+        build_bundle(sub, acc)
 
 
 def test_empty_bundle_rejected(jscs_bundle):

@@ -82,6 +82,18 @@ def test_non_finite_values_refused():
             z_one_sample(x, 0.0, 1.0)
 
 
+def test_overflowing_values_refused():
+    # finite values whose sum, or whose standard deviation, passes the float
+    # range raise ValueError, which build_bundle reports as a data error
+    wide = [1e308, 1e308 * (1 - 2**-52)]
+    for call in (describe, lambda x: t_one_sample(x, 0.0), lambda x: z_one_sample(x, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="sum of values overflows"):
+            call(wide)
+    for call in (describe, lambda x: t_one_sample(x, 0.0)):
+        with pytest.raises(ValueError, match="standard deviation overflows"):
+            call([1.7e308, -1.7e308])
+
+
 def test_chi_square_reference_values(jscs_matrices, ent_matrices):
     result = chi_square_uniform(jscs_matrices[0].column(0))
     assert result.statistic == pytest.approx(rv.CHI2_JSCS_2012, abs=0.05)
