@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MONTHS_PER_YEAR = 12
 DECISIONS = ("accepted", "rejected")
@@ -29,39 +28,56 @@ class RoundingAdjustment(UserWarning):
     """A reconstructed count column needed a one-count correction."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One submission of the journal `parse_events` selected."""
-
+class _EventFields(NamedTuple):
     submitted_at: date
     decision: str
 
-    def __post_init__(self):
-        if self.decision not in DECISIONS:
-            raise DataError(f"unknown decision {self.decision!r}")
+
+class EventRecord(_EventFields):
+    """One submission of the journal `parse_events` selected."""
+
+    __slots__ = ()
+
+    def __new__(cls, submitted_at: date, decision: str):
+        if decision not in DECISIONS:
+            raise DataError(f"unknown decision {decision!r}")
+        return super().__new__(cls, submitted_at, decision)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both run the checks in __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CountMatrix:
-    """Monthly event counts: 12 month rows by one column per year."""
-
+class _CountFields(NamedTuple):
     years: tuple
     counts: tuple  # 12 rows, each a tuple with one entry per year
     outcome: str  # "submitted" or "accepted"
 
-    def __post_init__(self):
-        if len(self.counts) != MONTHS_PER_YEAR:
+
+class CountMatrix(_CountFields):
+    """Monthly event counts: 12 month rows by one column per year."""
+
+    __slots__ = ()
+
+    def __new__(cls, years: tuple, counts: tuple, outcome: str):
+        if len(counts) != MONTHS_PER_YEAR:
             raise DataError("count matrix must have 12 month rows")
-        if not self.years:
+        if not years:
             raise DataError("count matrix must cover at least one year")
-        for row in self.counts:
-            if len(row) != len(self.years):
+        for row in counts:
+            if len(row) != len(years):
                 raise DataError("count row width does not match year list")
             for v in row:
                 if v < 0 or v != int(v):
                     raise DataError("counts must be non-negative integers")
-        if self.outcome not in ("submitted", "accepted"):
-            raise DataError(f"unknown outcome {self.outcome!r}")
+        if outcome not in ("submitted", "accepted"):
+            raise DataError(f"unknown outcome {outcome!r}")
+        return super().__new__(cls, years, counts, outcome)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def totals(self) -> tuple:

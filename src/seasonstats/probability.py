@@ -7,14 +7,12 @@ and marks a month with no submissions as undefined (None).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
 
 
-@dataclass(frozen=True)
-class MonthTable:
+class MonthTable(NamedTuple):
     """Monthly columns of shares or ratios, per year and cumulated."""
 
     years: tuple

@@ -22,9 +22,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+import operator
 from functools import partial
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
@@ -61,37 +62,49 @@ def format_number(x: float, places: int) -> str:
     return format(_quantize(x, places, ROUND_HALF_UP), "f")
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
-    q_orders: tuple = (1.0, 2.0)
-    precision: int = 5
-    t_null: float = 0.0833333
-    z_sigma: "float | None" = None
-    z_null: "float | None" = None
+class _OptionFields(NamedTuple):
+    q_orders: tuple
+    precision: int
+    t_null: float
+    z_sigma: "float | None"
+    z_null: "float | None"
 
-    def __post_init__(self):
-        if not 1 <= int(self.precision) <= 12:
+
+class AnalysisOptions(_OptionFields):
+    __slots__ = ()
+
+    def __new__(cls, q_orders: tuple = (1.0, 2.0), precision: int = 5,
+                t_null: float = 0.0833333, z_sigma: "float | None" = None,
+                z_null: "float | None" = None):
+        try:
+            places = operator.index(precision)
+        except TypeError:
+            raise DataError("precision must be an integer") from None
+        if not 1 <= places <= 12:
             raise DataError("precision must lie in 1..12")
-        if any(q < 0 for q in self.q_orders):
+        if any(q < 0 for q in q_orders):
             raise DataError("diversity orders must be non-negative")
-        if (self.z_sigma is None) != (self.z_null is None):
+        if (z_sigma is None) != (z_null is None):
             raise DataError("z test needs both a sigma and a null value")
-        for name, value in (("t null", self.t_null), ("z null", self.z_null),
-                            ("z sigma", self.z_sigma)):
+        for name, value in (("t null", t_null), ("z null", z_null), ("z sigma", z_sigma)):
             if value is not None and not math.isfinite(value):
                 raise DataError(f"{name} value must be finite")
-        if self.z_sigma is not None and self.z_sigma <= 0:
+        if z_sigma is not None and z_sigma <= 0:
             raise DataError("z sigma must be positive")
+        return super().__new__(cls, q_orders, precision, t_null, z_sigma, z_null)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both run the checks in __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class NamedDocument:
+class NamedDocument(NamedTuple):
     name: str
     text: str
 
 
-@dataclass(frozen=True)
-class AnalysisBundle:
+class AnalysisBundle(NamedTuple):
     journal: str
     years: tuple
     column_labels: tuple  # per-year labels plus the cumulated label
@@ -232,8 +245,7 @@ def _jnum(value, places):
 _PEAK_COLUMNS = ("frequency", "period_months", "amplitude")
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(NamedTuple):
     keys: tuple  # names of the key columns
     value_names: tuple  # names of the value columns
     rows: list  # (row keys, raw values) pairs, one value per value column

@@ -17,23 +17,31 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class SpectralPeak:
+class _PeakFields(NamedTuple):
     frequency: float  # cycles per month
     period: float  # months, 1 / frequency
     amplitude: float
 
-    def __post_init__(self):
-        if not 0.0 < self.frequency <= 0.5:
+
+class SpectralPeak(_PeakFields):
+    __slots__ = ()
+
+    def __new__(cls, frequency: float, period: float, amplitude: float):
+        if not 0.0 < frequency <= 0.5:
             raise ValueError("frequency must lie in (0, 0.5]")
-        if not math.isclose(self.period, 1.0 / self.frequency, rel_tol=1e-9):
+        if not math.isclose(period, 1.0 / frequency, rel_tol=1e-9):
             raise ValueError("period must be the reciprocal of frequency")
-        if self.amplitude < 0:
+        if amplitude < 0:
             raise ValueError("amplitude must be non-negative")
+        return super().__new__(cls, frequency, period, amplitude)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both run the checks in __new__
+        return cls(*iterable)
 
 
 def _smallest_factor(n: int) -> int:

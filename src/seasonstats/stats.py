@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .special import chi_square_sf, normal_cdf, regularized_beta
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     p_value: float
     dof: "int | None"
@@ -23,8 +21,7 @@ class TestResult:
     test_kind: str
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
+class DescriptiveStats(NamedTuple):
     mean: float
     std_dev: float
     band_low: float
@@ -97,7 +94,10 @@ def describe(x: Sequence["float | None"]) -> DescriptiveStats:
         raise ValueError("need at least 2 values")
     mean = _mean(values)
     std = _stdev(values)
-    return DescriptiveStats(mean, std, mean - 2.0 * std, mean + 2.0 * std, len(values))
+    low, high = mean - 2.0 * std, mean + 2.0 * std
+    if math.isinf(low) or math.isinf(high):
+        raise ValueError("mean +/- 2 sd band overflows the float range")
+    return DescriptiveStats(mean, std, low, high, len(values))
 
 
 def chi_square_uniform(counts: Sequence[int]) -> TestResult:

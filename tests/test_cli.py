@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -288,6 +289,21 @@ def test_module_invocation():
     result = subprocess.run([sys.executable, "-m", "seasonstats", "--version"],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # start-up is most of a run on the bundled data; `dataclasses` drags in
+    # `inspect`, `ast`, `dis` and `tokenize`, which the CLI never uses
+    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    probe = "import sys; {}; print(*sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+
+    def loaded(statement):
+        result = subprocess.run([sys.executable, "-c", probe.format(statement)],
+                                capture_output=True, text=True, env=env, check=True)
+        return set(result.stdout.split())
+
+    assert loaded("import seasonstats.cli") <= loaded("pass")
 
 
 def test_year_and_order_parsers():

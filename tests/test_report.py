@@ -40,6 +40,9 @@ def test_options_validation():
         AnalysisOptions(precision=0)
     with pytest.raises(DataError, match="precision"):
         AnalysisOptions(precision=13)
+    for precision in (5.5, 5.0, "5"):
+        with pytest.raises(DataError, match="precision must be an integer"):
+            AnalysisOptions(precision=precision)
     with pytest.raises(DataError, match="non-negative"):
         AnalysisOptions(q_orders=(1.0, -2.0))
     with pytest.raises(DataError, match="both"):
@@ -230,8 +233,7 @@ def test_footer_errors_name_table_and_column():
 
 
 def test_empty_bundle_rejected(jscs_bundle):
-    from dataclasses import replace
-    hollow = replace(jscs_bundle, years=(), column_labels=())
+    hollow = jscs_bundle._replace(years=(), column_labels=())
     with pytest.raises(DataError, match="empty bundle"):
         render(hollow, "csv")
 

@@ -96,3 +96,18 @@ def test_normal_cdf_symmetry():
         assert normal_cdf(z) + normal_cdf(-z) == pytest.approx(1.0, abs=1e-15)
     assert normal_cdf(0.0) == pytest.approx(0.5)
     assert math.isclose(normal_cdf(1.959963984540054), 0.975, abs_tol=1e-12)
+
+
+def test_unconverged_expansions_refused():
+    # near x = a the gamma series needs ~2400 terms at a = 1e5, more than the
+    # iteration limit; truncated, it gave Q = 0.556 where scipy gives 0.49958
+    with pytest.raises(ValueError, match="gamma series did not converge"):
+        regularized_gamma_q(1e5, 1e5)
+    with pytest.raises(ValueError, match="gamma series did not converge"):
+        regularized_gamma_p(1e5, 1e5)
+    with pytest.raises(ValueError, match="gamma series did not converge"):
+        chi_square_sf(2e5, 200000)
+    with pytest.raises(ValueError, match="gamma continued fraction did not converge"):
+        regularized_gamma_q(1e6, 1e6 + 2.0)
+    with pytest.raises(ValueError, match="beta continued fraction did not converge"):
+        regularized_beta(1e6, 1e6, 0.5)

@@ -10,6 +10,7 @@ from scipy import stats as spstats
 
 from seasonstats.probability import shares
 from seasonstats.stats import (
+    _stdev,
     chi_square_uniform,
     describe,
     t_cdf,
@@ -68,7 +69,15 @@ scaled_floats = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1
 def test_describe_std_is_statistics_stdev(x):
     # exact equality: the standard deviation is the correctly rounded root
     # of the exact variance, as statistics.stdev computes it
-    assert describe(x).std_dev == statistics.stdev(x)
+    std = statistics.stdev(x)
+    assert _stdev(x) == std
+    mean = statistics.fmean(x)
+    if math.isinf(mean - 2.0 * std) or math.isinf(mean + 2.0 * std):
+        # the root is a float but the mean +/- 2 sd band is not
+        with pytest.raises(ValueError, match="band overflows"):
+            describe(x)
+    else:
+        assert describe(x).std_dev == std
 
 
 def test_non_finite_values_refused():
@@ -92,6 +101,11 @@ def test_overflowing_values_refused():
     for call in (describe, lambda x: t_one_sample(x, 0.0)):
         with pytest.raises(ValueError, match="standard deviation overflows"):
             call([1.7e308, -1.7e308])
+    # here the standard deviation fits but twice it does not, so only the
+    # band is refused; the t statistic needs no band
+    with pytest.raises(ValueError, match=r"mean \+/- 2 sd band overflows the float range"):
+        describe([1e308, -1e308])
+    assert t_one_sample([1e308, -1e308], 0.0).statistic == 0.0
 
 
 def test_chi_square_reference_values(jscs_matrices, ent_matrices):
