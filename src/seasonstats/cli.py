@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .ingest import DataError, aggregate, matrices_from_counts, parse_counts, parse_events
+from .ingest import (MONTHS_PER_YEAR, DataError, aggregate, matrices_from_counts, parse_counts,
+                     parse_events)
 from .report import FORMATS, AnalysisOptions, build_bundle, render
 
 class _Parser(argparse.ArgumentParser):
@@ -42,6 +43,19 @@ def _parse_orders(text: str) -> tuple:
     if not orders:
         raise DataError("at least one diversity order is required")
     return orders
+
+
+def _coverage_warning(submitted) -> "str | None":
+    """A warning when the counted events start after January of the first year
+    or stop before December of the last; None when they reach both ends."""
+    series = submitted.series()
+    used = [i for i, count in enumerate(series) if count]
+    if used[0] == 0 and used[-1] == len(series) - 1:
+        return None
+    def month(i):
+        return f"{submitted.years[i // MONTHS_PER_YEAR]}-{i % MONTHS_PER_YEAR + 1:02d}"
+    return (f"analyze: warning: events run from {month(used[0])} to {month(used[-1])}, "
+            f"not {month(0)} to {month(len(series) - 1)}; the months outside count as zero")
 
 
 def build_parser() -> _Parser:
@@ -95,6 +109,9 @@ def main(argv=None) -> int:
                 mine = [e.submitted_at.year for e in events]
                 years = tuple(range(min(mine), max(mine) + 1))
             submitted, accepted = aggregate(events, years)
+            warning = _coverage_warning(submitted)
+            if warning:
+                print(warning, file=sys.stderr)
         else:
             rows = parse_counts(lines)
             submitted, accepted = matrices_from_counts(rows, args.journal, years)

@@ -24,7 +24,7 @@ import json
 import math
 import operator
 from functools import partial
-from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
 from typing import NamedTuple
 
 from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
@@ -45,21 +45,57 @@ RATIO_QUOTED_PLACES = 4
 
 
 def _quantize(x: float, places: int, rounding: str) -> Decimal:
-    return Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-places), rounding=rounding)
+    """repr(x) rounded to `places` decimals; InvalidOperation if x is not finite."""
+    value = Decimal(repr(float(x)))
+    if value.is_nan():
+        # quantize passes a quiet NaN through, where an infinity raises
+        raise InvalidOperation(f"cannot round {value}")
+    return value.quantize(Decimal(1).scaleb(-places), rounding=rounding)
+
+# places -> (bound, "%.{places}f", "%.{places+1}f"). Below the bound,
+# ulp(x) <= 2**-(10**(places+1)).bit_length() < 10**-(places+1), so the
+# interval of reals that round to x holds at most one (places+1)-decimal
+# string. The shortest repr and the exact binary value of x then lie on the
+# same side of every rounding midpoint, unless the repr is that midpoint:
+# exactly places+1 decimals ending in 5, which the probe format finds.
+_FAST_ROUNDING = {places: (2.0 ** (53 - (10 ** (places + 1)).bit_length()),
+                           f"%.{places}f", f"%.{places + 1}f")
+                  for places in range(1, 13)}
+
+def _fast_text(x: float, places: int) -> "str | None":
+    """x correctly rounded to `places` decimals, or None where that may differ
+    from rounding repr(x): a tie, a large or non-finite x, or unlisted places."""
+    entry = _FAST_ROUNDING.get(places)
+    if entry is None:
+        return None
+    bound, text, probe = entry
+    if not -bound < x < bound:
+        return None
+    probe %= x
+    if probe[-1] == "5" and float(probe) == x:
+        return None
+    return text % x
 
 def quote_half_down(x: float, places: int) -> float:
-    """Round to `places` decimals, halves toward zero.
+    """Round repr(x) to `places` decimals, halves toward zero.
 
     The reference tables resolve exact ties this way (17/32 is quoted
     0.5312 and 30/64 is quoted 0.4687), so the index chain quotes its
     inputs with the same rule; rendered output keeps the
     half-away-from-zero convention.
     """
-    return float(_quantize(x, places, ROUND_HALF_DOWN))
+    text = _fast_text(x, places)
+    if text is None:
+        return float(_quantize(x, places, ROUND_HALF_DOWN))
+    return float(text)
 
 def format_number(x: float, places: int) -> str:
-    # "f": str() would write values below 1e-6 as 0E-7, 3E-7
-    return format(_quantize(x, places, ROUND_HALF_UP), "f")
+    """repr(x) rounded to `places` decimals, halves away from zero, as fixed-point text."""
+    text = _fast_text(x, places)
+    if text is None:
+        # "f": str() would write values below 1e-6 as 0E-7, 3E-7
+        return format(_quantize(x, places, ROUND_HALF_UP), "f")
+    return text
 
 
 class _OptionFields(NamedTuple):

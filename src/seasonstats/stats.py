@@ -87,6 +87,16 @@ def _stdev(values: list) -> float:
         raise ValueError("standard deviation overflows the float range") from None
 
 
+def _standard_score(name: str, diff: float, spread: float, n: int) -> float:
+    """diff / (spread / sqrt(n)), refused when it passes the float range."""
+    scale = spread / math.sqrt(n)
+    # a subnormal spread can underflow to zero once divided by sqrt(n)
+    stat = diff / scale if scale else diff / spread * math.sqrt(n)
+    if math.isinf(stat):
+        raise ValueError(f"{name} statistic overflows the float range")
+    return stat
+
+
 def describe(x: Sequence["float | None"]) -> DescriptiveStats:
     """Mean, sample (n-1) standard deviation, and the mean +/- 2 sigma band."""
     values = _values(x)
@@ -149,7 +159,7 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
     n = len(values)
-    stat = (mean - k) / (std / math.sqrt(n))
+    stat = _standard_score("t", mean - k, std, n)
     dof = n - 1
     # two-sided tail directly: 2 P(T > |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2)
     p = regularized_beta(dof / 2.0, 0.5, dof / (dof + stat * stat))
@@ -164,6 +174,6 @@ def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestRes
     if not values:
         raise ValueError("empty sample")
     mean = _mean(values)
-    stat = (mean - k) / (sigma / math.sqrt(len(values)))
+    stat = _standard_score("z", mean - k, sigma, len(values))
     p = 2.0 * (1.0 - normal_cdf(abs(stat)))
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")

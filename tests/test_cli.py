@@ -100,13 +100,41 @@ def test_events_end_to_end(events_csv, tmp_path):
     assert "[2021-2022]" in grid_text[0]
 
 
-def test_events_infer_years(events_csv, tmp_path):
+def test_events_infer_years(events_csv, tmp_path, capsys):
     out = tmp_path / "inferred"
     code = _run(["--input", events_csv, "--format", "events",
                  "--journal", "Demo", "--out", out])
     assert code == 0
+    assert capsys.readouterr().err == ""  # January to December: no coverage warning
     grid = list(csv.reader((out / "t1_submitted.csv").open()))
     assert grid[0] == ["row", "2021", "2022", "[2021-2022]"]
+
+
+def test_partial_year_events_warn(tmp_path, capsys):
+    # events from January to July 2012 only: the documents count August to
+    # December as zero, exactly as a counts file with explicit zero rows does,
+    # and stderr says so
+    events = ["journal,submitted_at,decision"]
+    counts = ["journal,year,month,submitted,accepted"]
+    for month in range(1, 13):
+        accepted, rejected = (month % 3 + 1, month) if month <= 7 else (0, 0)
+        events += [f"Demo,2012-{month:02d}-{day + 1:02d},accepted" for day in range(accepted)]
+        events += [f"Demo,2012-{month:02d}-{day + 11:02d},rejected" for day in range(rejected)]
+        counts.append(f"Demo,2012,{month},{accepted + rejected},{accepted}")
+    outputs = {}
+    for shape, lines in (("events", events), ("counts", counts)):
+        path = tmp_path / f"{shape}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / f"out_{shape}"
+        code = _run(["--input", path, "--format", shape, "--journal", "Demo", "--out", out])
+        assert code == 0
+        outputs[shape] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert capsys.readouterr().err == {
+            "events": "analyze: warning: events run from 2012-01 to 2012-07, not 2012-01 "
+                      "to 2012-12; the months outside count as zero\n",
+            "counts": ""}[shape]
+    assert len(outputs["events"]) == 6
+    assert outputs["events"] == outputs["counts"]
 
 
 def test_bad_date_in_other_journal_exits_1(events_csv, tmp_path, capsys):
@@ -219,6 +247,19 @@ def test_z_flags_add_rows(counts_csv, tmp_path):
     assert code == 0
     labels = [row[0] for row in csv.reader((out / "t1_submitted.csv").open())]
     assert "z" in labels and "z_p" in labels
+
+
+@pytest.mark.parametrize("sigma", ["1e-320", "5e-324"])
+def test_overflowing_z_statistic_exits_1(tmp_path, capsys, sigma):
+    # sigma / sqrt(12) is subnormal (or, for 5e-324, zero), so the z statistic
+    # passes the float range
+    code = _run(["--input", DATA_DIR / "journal_counts.csv", "--format", "counts",
+                 "--journal", "JSCS", "--z-sigma", sigma, "--z-null", "0.08",
+                 "--out", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "analyze: t1_submitted, column 2012: z statistic overflows the float range\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_precision_flag(counts_csv, tmp_path):
@@ -363,7 +404,7 @@ def _fuzz_input(draw, source):
     return data
 
 
-_FUZZ_VALUES = st.sampled_from(("nan", "inf", "-inf", "-1", "", "0", "0.02", "0.08"))
+_FUZZ_VALUES = st.sampled_from(("nan", "inf", "-inf", "-1", "", "0", "1e-320", "0.02", "0.08"))
 _FUZZ_FLAGS = {
     "--q": st.sampled_from(("nan", "inf", "-1", "", "1,2", "0,1,2,inf", "1,nan")),
     "--t-null": _FUZZ_VALUES,

@@ -3,20 +3,30 @@
 import csv
 import io
 import json
+import math
+import struct
+from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from seasonstats.ingest import CountMatrix, DataError
+from seasonstats import report
+from seasonstats.ingest import CountMatrix, DataError, matrices_from_counts, parse_counts
 from seasonstats.report import (
     DOCUMENT_NAMES,
+    FORMATS,
     AnalysisBundle,
     AnalysisOptions,
     build_bundle,
     format_number,
+    quote_half_down,
     render,
 )
 
 import refvalues as rv
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def _parse_csv(text):
@@ -33,6 +43,99 @@ def test_rounding_helpers():
     assert format_number(23.2776, 5) == "23.27760"
     assert format_number(0.0, 7) == "0.0000000"
     assert format_number(3e-7, 7) == "0.0000003"
+    for bad in (math.inf, -math.inf, math.nan):
+        # never "inf", "nan" or "NaN" text in a document, nor a nan index input
+        for rounding in (format_number, quote_half_down):
+            with pytest.raises(InvalidOperation):
+                rounding(bad, 5)
+
+
+def _reference_quantize(x, places, rounding):
+    # rounding the shortest repr in decimal: the rule both helpers implement
+    return Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-places), rounding=rounding)
+
+def reference_format_number(x, places):
+    return format(_reference_quantize(x, places, ROUND_HALF_UP), "f")
+
+def reference_quote_half_down(x, places):
+    return float(_reference_quantize(x, places, ROUND_HALF_DOWN))
+
+
+@st.composite
+def _rounding_cases(draw):
+    """(x, places): raw bit patterns, decimal ties, the fast-path bound, subnormals."""
+    places = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("bits", "tie", "bound", "scaled", "tiny")))
+    if kind == "bits":
+        x = struct.unpack("<d", struct.pack("<Q", draw(st.integers(0, 2**64 - 1))))[0]
+        assume(math.isfinite(x))
+    elif kind == "tie":
+        k = draw(st.integers(-10**17, 10**17))
+        # (k + 1/2) / 10^places in float arithmetic, or the float nearest the exact tie
+        x = ((k + 0.5) / 10**places if draw(st.booleans())
+             else float(f"{10 * k + 5}e-{places + 1}"))
+    elif kind == "bound":
+        bound = report._FAST_ROUNDING[places][0]
+        # the bound and its neighbours, or a float within a factor of 64 of it
+        x = draw(st.sampled_from((math.nextafter(bound, 0.0), bound,
+                                  math.nextafter(bound, math.inf)))
+                 | st.floats(bound / 64, bound * 64))
+        if draw(st.booleans()):
+            # at most `places` decimals, so that the repr is short
+            x = float(f"{x:.{draw(st.integers(0, places))}f}")
+    elif kind == "scaled":
+        x = draw(st.floats(1e-15, 1e15))
+    else:
+        x = draw(st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+    return x * draw(st.sampled_from((1.0, -1.0))), places
+
+
+@settings(max_examples=1000)
+@given(_rounding_cases())
+@example((0.084375, 5))
+@example((-0.084375, 5))
+@example((2.5, 1))
+@example((0.0, 3))
+@example((-0.0, 3))
+@example((5e-324, 12))
+@example((511.99999999999994, 12))
+@example((512.0, 12))
+@example((1e30, 1))
+def test_rounding_matches_decimal_reference(case):
+    x, places = case
+    for rounding, reference in ((format_number, reference_format_number),
+                                (quote_half_down, reference_quote_half_down)):
+        try:
+            expected = reference(x, places)
+        except ArithmeticError as exc:
+            with pytest.raises(ArithmeticError) as raised:
+                rounding(x, places)
+            assert type(raised.value) is type(exc)
+        else:
+            # repr tells -0.0 from 0.0
+            assert repr(rounding(x, places)) == repr(expected)
+
+
+@pytest.mark.parametrize("name", ["edge", "long"])
+def test_every_precision_renders_as_decimal_reference(name, monkeypatch):
+    # precision 12 has the smallest fast-path bound (512), and no golden file
+    # covers precisions other than 5 and 7
+    input_name, journal, _ = rv.GOLDEN_RUNS[name]
+    rows = parse_counts((DATA_DIR / input_name).read_text(encoding="utf-8").splitlines())
+    matrices = matrices_from_counts(rows, journal)
+
+    def documents(precision):
+        # the golden runs' options for these inputs, at the given precision
+        options = AnalysisOptions(q_orders=(0.0, 1.0, 2.0), precision=precision,
+                                  z_sigma=0.03, z_null=0.0833333)
+        bundle = build_bundle(*matrices, options, journal=journal)
+        return {fmt: render(bundle, fmt) for fmt in FORMATS}
+
+    fast = {precision: documents(precision) for precision in range(1, 13)}
+    monkeypatch.setattr(report, "format_number", reference_format_number)
+    monkeypatch.setattr(report, "quote_half_down", reference_quote_half_down)
+    for precision, rendered in fast.items():
+        assert documents(precision) == rendered, precision
 
 
 def test_options_validation():

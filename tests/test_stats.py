@@ -106,6 +106,18 @@ def test_overflowing_values_refused():
     with pytest.raises(ValueError, match=r"mean \+/- 2 sd band overflows the float range"):
         describe([1e308, -1e308])
     assert t_one_sample([1e308, -1e308], 0.0).statistic == 0.0
+    # finite inputs whose t or z statistic passes the float range: a
+    # subnormal spread, or a difference from the null past the range
+    for call, name in ((lambda: t_one_sample([5e-324, 1e-323], 0.0833), "t"),
+                       (lambda: t_one_sample([8e307, 9e307], -1.7e308), "t"),
+                       (lambda: z_one_sample([0.1, 0.2], 0.08, 1e-320), "z"),
+                       (lambda: z_one_sample([0.1] * 12, 0.08, 5e-324), "z")):
+        with pytest.raises(ValueError, match=f"^{name} statistic overflows the float range$"):
+            call()
+    # sigma / sqrt(12) underflows to zero here; the statistic is still defined
+    assert z_one_sample([0.08] * 12, 0.08, 5e-324).statistic == 0.0
+    assert z_one_sample([1e-320] * 12, 0.0, 5e-324).statistic == pytest.approx(
+        2024 * math.sqrt(12), rel=1e-3)
 
 
 def test_chi_square_reference_values(jscs_matrices, ent_matrices):
