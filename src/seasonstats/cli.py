@@ -40,8 +40,6 @@ def _parse_orders(text: str) -> tuple:
         orders = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise DataError(f"invalid diversity orders {text!r}, expected a comma list") from None
-    if not orders:
-        raise DataError("at least one diversity order is required")
     return orders
 
 

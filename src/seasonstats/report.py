@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import operator
 from functools import partial
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
@@ -98,6 +98,11 @@ def format_number(x: float, places: int) -> str:
     return text
 
 
+def _diversity_label(q) -> str:
+    """The t5 row label of Hill diversity at order q."""
+    return f"D{q:g}"
+
+
 class _OptionFields(NamedTuple):
     q_orders: tuple
     precision: int
@@ -120,6 +125,14 @@ class AnalysisOptions(_OptionFields):
             raise DataError("precision must lie in 1..12")
         if any(q < 0 for q in q_orders):
             raise DataError("diversity orders must be non-negative")
+        # CSV and Markdown would hold two rows of one label, and JSON only the last
+        first_orders = {}
+        for q in q_orders:
+            label = _diversity_label(q)
+            if label in first_orders:
+                raise DataError(f"diversity orders {first_orders[label]!r} and {q!r} "
+                                f"share the row label {label}")
+            first_orders[label] = q
         if (z_sigma is None) != (z_null is None):
             raise DataError("z test needs both a sigma and a null value")
         for name, value in (("t null", t_null), ("z null", z_null), ("z sigma", z_sigma)):
@@ -199,7 +212,7 @@ def _index_column(vector, options, ratios: bool) -> list:
                     for v in vector)
     normalized = normalize(rounded)
     hill_input = rounded if ratios else normalized
-    return [*((f"D{q:g}", diversity(hill_input, q)) for q in options.q_orders),
+    return [*((_diversity_label(q), diversity(hill_input, q)) for q in options.q_orders),
             ("exp_entropy", exponential_entropy(normalized)), ("theil", theil(normalized)),
             ("hhi", hhi(normalized)), ("gini", gini(normalized))]
 
@@ -371,6 +384,40 @@ def _nest_series(layout: _Layout, places):
 _NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
             ("series", "rank"): _nest_series}
 
+# with default arguments json writes these types with these functions;
+# floats here are always finite, as format_number refuses nan and inf
+_JSON_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
+                 type(None): lambda _: "null"}
+
+def _json_text(value, indent="") -> str:
+    """json.dumps(value, indent=2) for None, int, finite float and str, nested in
+    lists and str-keyed dicts; TypeError for any other type, bool and tuple included.
+
+    json writes indented text with its pure-Python encoder, as its C encoder
+    writes compact text only; this does the same work in fewer calls.
+    """
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object key {key!r} is not a str")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
+        opening, closing = "{", "}"
+    elif type(value) is list:
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+
 
 def render(bundle: AnalysisBundle, format: str) -> list:
     """Render the six documents in the requested format at the bundle's precision."""
@@ -386,7 +433,7 @@ def render(bundle: AnalysisBundle, format: str) -> list:
             body = {"name": name, "journal": bundle.journal,
                     "years": list(bundle.years), "precision": places}
             body.update(_NESTERS[layout.keys](layout, places))
-            text = json.dumps(body, indent=2) + "\n"
+            text = _json_text(body) + "\n"
         else:
             text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
         documents.append(NamedDocument(name, text))

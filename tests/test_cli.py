@@ -200,6 +200,15 @@ def test_bad_q_exits_1(counts_csv, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_orders_sharing_a_label_exit_1(counts_csv, tmp_path, capsys):
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--q", "1,1,2", "--out", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "analyze: diversity orders 1.0 and 1.0 share the row label D1\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_infinite_and_large_orders(counts_csv, tmp_path):
     out = tmp_path / "qinf"
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",

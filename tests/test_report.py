@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import struct
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
 from pathlib import Path
@@ -148,6 +149,12 @@ def test_options_validation():
             AnalysisOptions(precision=precision)
     with pytest.raises(DataError, match="non-negative"):
         AnalysisOptions(q_orders=(1.0, -2.0))
+    for orders, message in (((1.0, 1.0, 2.0), "1.0 and 1.0 share the row label D1"),
+                            ((0.1234567, 0.1234568),
+                             "0.1234567 and 0.1234568 share the row label D0.123457"),
+                            ((2, 0.5, 2.0), "2 and 2.0 share the row label D2")):
+        with pytest.raises(DataError, match=f"^diversity orders {re.escape(message)}$"):
+            AnalysisOptions(q_orders=orders, precision=12)
     with pytest.raises(DataError, match="both"):
         AnalysisOptions(z_sigma=0.02)
     with pytest.raises(DataError, match="both"):
@@ -346,3 +353,81 @@ def test_default_options_round_trip(jscs_matrices):
     assert bundle.options.precision == 5
     assert bundle.options.q_orders == (1.0, 2.0)
     assert bundle.options.t_null == pytest.approx(0.0833333)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20)
+
+
+@given(_JSON_VALUES)
+@example([[], {}, {"a": [{}, [[]]]}, [{"b": {}}]])
+@example([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.7976931348623157e308])
+@example([2**64, -(2**64) - 1, 10**40, 0])
+@example({"\u2028": "\u2029", "\"q\"": "back\\slash", "\x00\x1f\x7f": "\t\n\r\b\f"})
+@example({"\U0001f600": ["\U0001f600", "\udfff", "\xe9"]})
+def test_json_text_is_json_dumps(value):
+    assert report._json_text(value) + "\n" == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_text_refuses_other_types():
+    # json would write these as true, a list, or a key converted to "1"
+    for value in (True, (1, 2), {1: 0.5}, [None, False], {"a": {None: 1}}):
+        with pytest.raises(TypeError):
+            report._json_text(value)
+
+
+def _csv_cells(text):
+    """(row keys, column) of every value cell, with repeats, mapped to its text."""
+    header, *rows = _parse_csv(text)
+    keys = 1 if header[0] == "row" else 2
+    return [((tuple(row[:keys]), column), cell)
+            for row in rows for column, cell in zip(header[keys:], row[keys:])]
+
+def _json_leaves(body):
+    """The same (row keys, column) of every number or null in a JSON document."""
+    if "columns" in body:
+        return [(((row,), label), value) for label, parts in body["columns"].items()
+                for part in parts.values() for row, value in part.items()]
+    if "blocks" in body:
+        return [(((block, index), label), value) for block, nested in body["blocks"].items()
+                for label, column in nested["columns"].items()
+                for index, value in column.items()]
+    return [(((name, str(entry["rank"])), column), value)
+            for name, entries in body["series"].items()
+            for entry in entries for column, value in entry.items() if column != "rank"]
+
+def _assert_json_holds_csv_cells(csv_text, json_text):
+    cells, leaves = _csv_cells(csv_text), _json_leaves(json.loads(json_text))
+    assert sorted(key for key, _ in cells) == sorted(key for key, _ in leaves)
+    leaves = dict(leaves)
+    for key, cell in cells:
+        if cell == "NA":
+            assert leaves[key] is None, key
+        else:
+            assert float(cell) == leaves[key], key
+
+
+@pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
+def test_golden_json_holds_csv_cells(run):
+    golden = DATA_DIR / "golden" / run
+    for name in DOCUMENT_NAMES:
+        _assert_json_holds_csv_cells((golden / f"{name}.csv").read_text(encoding="utf-8"),
+                                     (golden / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.0000001, 2.0, 0.1234567, 0.1234568,
+                                 math.inf)), min_size=1, max_size=4))
+@example([1.0, 1.0, 2.0])
+@example([0.1234567, 0.1234568])
+def test_every_accepted_order_keeps_its_json_row(jscs_matrices, q_orders):
+    try:
+        options = AnalysisOptions(q_orders=tuple(q_orders), precision=12)
+    except DataError as exc:
+        assert "share the row label" in str(exc)
+        return
+    bundle = build_bundle(*jscs_matrices, options, journal="JSCS")
+    for csv_doc, json_doc in zip(render(bundle, "csv"), render(bundle, "json")):
+        _assert_json_holds_csv_cells(csv_doc.text, json_doc.text)
