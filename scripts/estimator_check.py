@@ -1,10 +1,11 @@
 """Compare discrete Gini estimators against the published index table.
 
 For each of the 24 index-table Gini cells (three blocks, eight columns)
-this prints the population mean-absolute-difference estimator used by the
-package next to the (n/(n-1))-rescaled sample variant, and the published
-value. The population form matches 23 of 24 cells; see the 2013 accepted
-column for the known discrepancy. Run from the repository root:
+of the counts in data/journal_counts.csv this prints the population
+mean-absolute-difference estimator used by the package next to the
+(n/(n-1))-rescaled sample variant, and the published value. The population
+form matches 23 of 24 cells; see the 2013 accepted column for the known
+discrepancy. Run from the repository root:
 
     python3 scripts/estimator_check.py
 """
@@ -19,7 +20,7 @@ import refvalues as rv  # noqa: E402
 
 from seasonstats.indices import gini  # noqa: E402
 from seasonstats.probability import conditional, normalize, shares  # noqa: E402
-from seasonstats.ingest import counts_from_shares  # noqa: E402
+from seasonstats.ingest import matrices_from_counts, parse_counts  # noqa: E402
 from seasonstats.report import RATIO_QUOTED_PLACES, quote_half_down  # noqa: E402
 
 
@@ -41,12 +42,10 @@ def columns_for(block, sub, acc):
 
 
 def main():
-    jscs = (counts_from_shares(rv.JSCS_SUB_TOTALS, rv.JSCS_SUB_SHARES, rv.JSCS_YEARS),
-            counts_from_shares(rv.JSCS_ACC_TOTALS, rv.JSCS_ACC_SHARES,
-                               rv.JSCS_YEARS, "accepted"))
-    ent = (counts_from_shares(rv.ENT_SUB_TOTALS, rv.ENT_SUB_SHARES, rv.ENT_YEARS),
-           counts_from_shares(rv.ENT_ACC_TOTALS, rv.ENT_ACC_SHARES,
-                              rv.ENT_YEARS, "accepted"))
+    rows = parse_counts((ROOT / "data" / "journal_counts.csv")
+                        .read_text(encoding="utf-8").splitlines())
+    jscs = matrices_from_counts(rows, "JSCS")
+    ent = matrices_from_counts(rows, "Entropy")
     labels = [f"JSCS {y}" for y in rv.JSCS_YEARS] + ["JSCS cum"] \
         + [f"Entropy {y}" for y in rv.ENT_YEARS] + ["Entropy cum"]
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 
 from . import __version__
@@ -33,6 +34,8 @@ def _parse_years(text: str) -> tuple:
         raise DataError(f"invalid year range {text!r}, expected y0:y1") from None
     if last < first:
         raise DataError(f"invalid year range {text!r}: end before start")
+    if first < MINYEAR or last > MAXYEAR:
+        raise DataError(f"invalid year range {text!r}: years must lie in {MINYEAR}..{MAXYEAR}")
     return tuple(range(first, last + 1))
 
 def _parse_orders(text: str) -> tuple:

@@ -2,15 +2,12 @@
 
 Two input shapes are supported: event-level CSV (one row per submission
 with its final decision) and pre-aggregated counts CSV (one row per
-journal, year, month). Published share tables can also be inverted back
-to integer counts.
+journal, year, month).
 """
 from __future__ import annotations
 
 import csv
-import math
-import warnings
-from datetime import date
+from datetime import MAXYEAR, MINYEAR, date
 from typing import Iterable, NamedTuple, Sequence
 
 MONTHS_PER_YEAR = 12
@@ -22,10 +19,6 @@ COUNTS_HEADER = ("journal", "year", "month", "submitted", "accepted")
 
 class DataError(ValueError):
     """Invalid input data (malformed rows, broken invariants, empty selections)."""
-
-
-class RoundingAdjustment(UserWarning):
-    """A reconstructed count column needed a one-count correction."""
 
 
 class _EventFields(NamedTuple):
@@ -111,7 +104,7 @@ def _check_pair(submitted: CountMatrix, accepted: CountMatrix) -> None:
 def parse_events(stream: Iterable[str], journal: str) -> list:
     """Parse event-level CSV with header journal,submitted_at,decision.
 
-    Every row is validated (column count, ISO date, decision, in that
+    Every row is validated (column count, YYYY-MM-DD date, decision, in that
     order), but records are built only for rows of `journal`. Dates and
     decisions repeat heavily, so each distinct raw field is checked once
     per parse.
@@ -136,6 +129,9 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
         if submitted_at is None:
             field = raw_date.strip()
             try:
+                # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
+                if len(field) != 10 or field[4] != "-" or field[7] != "-":
+                    raise ValueError("expected YYYY-MM-DD")
                 submitted_at = dates[raw_date] = date.fromisoformat(field)
             except ValueError as exc:
                 raise DataError(f"invalid date {field!r} at line {lineno}: {exc}") from None
@@ -196,6 +192,8 @@ def parse_counts(stream: Iterable[str]) -> list:
             year, month, submitted, accepted = (int(v) for v in row[1:])
         except ValueError:
             raise DataError(f"non-integer count field at line {lineno}") from None
+        if not MINYEAR <= year <= MAXYEAR:
+            raise DataError(f"year out of range at line {lineno}")
         if not 1 <= month <= 12:
             raise DataError(f"month out of range at line {lineno}")
         if submitted < 0 or accepted < 0:
@@ -239,50 +237,3 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
     accepted = CountMatrix(years, acc, "accepted")
     _check_pair(submitted, accepted)
     return submitted, accepted
-
-
-def counts_from_shares(totals: Sequence[int], shares: Sequence[Sequence[float]],
-                       years: "Sequence[int] | None" = None,
-                       outcome: str = "submitted") -> CountMatrix:
-    """Reconstruct integer counts from published share columns and totals.
-
-    Each count is share * total rounded to the nearest integer (half away
-    from zero). If rounding leaves a column one short or one over, the
-    entry with the largest rounding residual is adjusted and a
-    RoundingAdjustment warning records it; a larger mismatch means the
-    shares and total are inconsistent.
-    """
-    totals = tuple(int(t) for t in totals)
-    if years is None:
-        years = tuple(range(len(totals)))
-    years = tuple(int(y) for y in years)
-    if len(years) != len(totals):
-        raise DataError("totals and years lists differ in length")
-    if len(shares) != MONTHS_PER_YEAR:
-        raise DataError("share table must have 12 month rows")
-    columns = []
-    for j, total in enumerate(totals):
-        col = [float(shares[m][j]) for m in range(MONTHS_PER_YEAR)]
-        if any(s < 0 for s in col):
-            raise DataError(f"negative share in column {j}")
-        if abs(sum(col) - 1.0) > 5e-4:
-            raise DataError(f"share column {j} does not sum to 1")
-        raw = [s * total for s in col]
-        rounded = [math.floor(x + 0.5) for x in raw]
-        delta = total - sum(rounded)
-        if abs(delta) > 1:
-            raise DataError(f"inconsistent shares: column {j} off by {delta} after rounding")
-        if delta != 0:
-            residuals = [x - r for x, r in zip(raw, rounded)]
-            pick = max(range(MONTHS_PER_YEAR),
-                       key=lambda m: residuals[m] if delta > 0 else -residuals[m])
-            rounded[pick] += delta
-            warnings.warn(
-                f"adjusted month {pick + 1} of column {j} by {delta} to match total {total}",
-                RoundingAdjustment,
-                stacklevel=2,
-            )
-        columns.append(rounded)
-    counts = tuple(tuple(columns[j][m] for j in range(len(totals)))
-                   for m in range(MONTHS_PER_YEAR))
-    return CountMatrix(years, counts, outcome)

@@ -125,6 +125,7 @@ class AnalysisOptions(_OptionFields):
             raise DataError("precision must lie in 1..12")
         if any(q < 0 for q in q_orders):
             raise DataError("diversity orders must be non-negative")
+        q_orders = tuple(abs(q) if q == 0 else q for q in q_orders)  # -0.0 labels D-0
         # CSV and Markdown would hold two rows of one label, and JSON only the last
         first_orders = {}
         for q in q_orders:

@@ -1,37 +1,32 @@
-"""Shared fixtures: the two bundled journals rebuilt from their share tables."""
+"""Shared fixtures: the two bundled journals read from data/journal_counts.csv.
 
-import warnings
+That file is committed input; test_acceptance checks its counts against the
+published share tables, per-year totals and pinned count columns.
+"""
+
 from pathlib import Path
 
 import pytest
 
-from seasonstats.ingest import counts_from_shares
+from seasonstats.ingest import matrices_from_counts, parse_counts
 from seasonstats.report import AnalysisOptions, build_bundle
 
-import refvalues as rv
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DATA_DIR = REPO_ROOT / "data"
+JOURNAL_COUNTS = Path(__file__).resolve().parent.parent / "data" / "journal_counts.csv"
 
 
-def _matrices(sub_totals, sub_shares, acc_totals, acc_shares, years):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        submitted = counts_from_shares(sub_totals, sub_shares, years, "submitted")
-        accepted = counts_from_shares(acc_totals, acc_shares, years, "accepted")
-    return submitted, accepted
+def _matrices(journal):
+    rows = parse_counts(JOURNAL_COUNTS.read_text(encoding="utf-8").splitlines())
+    return matrices_from_counts(rows, journal)
 
 
 @pytest.fixture(scope="session")
 def jscs_matrices():
-    return _matrices(rv.JSCS_SUB_TOTALS, rv.JSCS_SUB_SHARES,
-                     rv.JSCS_ACC_TOTALS, rv.JSCS_ACC_SHARES, rv.JSCS_YEARS)
+    return _matrices("JSCS")
 
 
 @pytest.fixture(scope="session")
 def ent_matrices():
-    return _matrices(rv.ENT_SUB_TOTALS, rv.ENT_SUB_SHARES,
-                     rv.ENT_ACC_TOTALS, rv.ENT_ACC_SHARES, rv.ENT_YEARS)
+    return _matrices("Entropy")
 
 
 @pytest.fixture(scope="session")

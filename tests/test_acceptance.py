@@ -20,7 +20,6 @@ import pytest
 
 from seasonstats.cli import main
 from seasonstats.indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
-from seasonstats.ingest import matrices_from_counts, parse_counts
 from seasonstats.probability import conditional, shares
 from seasonstats.report import DOCUMENT_NAMES, FORMATS, build_bundle
 from seasonstats.stats import chi_square_uniform, describe, t_cdf
@@ -30,7 +29,6 @@ import refvalues as rv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
-FIXTURE = DATA_DIR / "journal_counts.csv"
 GOLDEN = DATA_DIR / "golden"
 
 
@@ -40,12 +38,8 @@ def _verdict(number, ok, label):
 
 
 @pytest.fixture(scope="module")
-def fixture_matrices():
-    rows = parse_counts(FIXTURE.read_text(encoding="utf-8").splitlines())
-    return {
-        "JSCS": matrices_from_counts(rows, "JSCS"),
-        "Entropy": matrices_from_counts(rows, "Entropy"),
-    }
+def fixture_matrices(jscs_matrices, ent_matrices):
+    return {"JSCS": jscs_matrices, "Entropy": ent_matrices}
 
 
 def _share_columns(matrices):
@@ -61,19 +55,29 @@ def _all_columns(table):
 
 
 def test_criterion_1_golden_shares(fixture_matrices):
+    # the bundled counts are the ones the paper printed: half a unit in the
+    # fifth decimal of a share is under 0.006 of a count at the largest
+    # yearly total (1008), so these shares and totals pin every count
     start = time.perf_counter()
     worst = 0.0
-    for journal, (sub_ref, acc_ref) in (("JSCS", (rv.JSCS_SUB_SHARES, rv.JSCS_ACC_SHARES)),
-                                        ("Entropy", (rv.ENT_SUB_SHARES, rv.ENT_ACC_SHARES))):
+    for journal, sub_ref, acc_ref, totals in (
+            ("JSCS", rv.JSCS_SUB_SHARES, rv.JSCS_ACC_SHARES,
+             (rv.JSCS_SUB_TOTALS, rv.JSCS_ACC_TOTALS)),
+            ("Entropy", rv.ENT_SUB_SHARES, rv.ENT_ACC_SHARES,
+             (rv.ENT_SUB_TOTALS, rv.ENT_ACC_TOTALS))):
         sub, acc = fixture_matrices[journal]
+        assert (sub.totals, acc.totals) == totals, journal
         for table, ref in ((shares(sub), sub_ref), (shares(acc), acc_ref)):
             for m in range(12):
                 for j in range(3):
                     worst = max(worst, abs(table.per_year[m][j] - ref[m][j]))
                 worst = max(worst, abs(table.cumulated[m] - ref[m][3]))
+    assert fixture_matrices["JSCS"][0].column(0) == rv.JSCS_2012_SUB_COUNTS
+    assert fixture_matrices["Entropy"][0].column(0) == rv.ENT_2014_SUB_COUNTS
     elapsed = time.perf_counter() - start
-    _verdict(1, worst <= 5e-4 and elapsed < 1.0,
-             f"all 192 share cells within 5e-4 (worst {worst:.2e}) in {elapsed:.3f}s")
+    _verdict(1, worst <= 5e-6 and elapsed < 1.0,
+             f"all 192 share cells within 5e-6 (worst {worst:.2e}), the 12 yearly "
+             f"totals and both pinned columns exact, in {elapsed:.3f}s")
 
 
 def test_criterion_2_entropy_rows(fixture_matrices):

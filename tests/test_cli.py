@@ -22,16 +22,8 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture()
-def counts_csv(tmp_path, jscs_matrices, ent_matrices):
-    path = tmp_path / "counts.csv"
-    lines = ["journal,year,month,submitted,accepted"]
-    for journal, (sub, acc) in (("JSCS", jscs_matrices), ("Entropy", ent_matrices)):
-        for j, year in enumerate(sub.years):
-            for m in range(12):
-                lines.append(
-                    f"{journal},{year},{m + 1},{sub.counts[m][j]},{acc.counts[m][j]}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def counts_csv():
+    return DATA_DIR / "journal_counts.csv"
 
 
 @pytest.fixture()
@@ -206,7 +198,17 @@ def test_orders_sharing_a_label_exit_1(counts_csv, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "analyze: diversity orders 1.0 and 1.0 share the row label D1\n")
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--q=-0,0", "--out", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "analyze: diversity orders 0.0 and 0.0 share the row label D0\n")
     assert not (tmp_path / "x").exists()
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--q=-0", "--out", tmp_path / "zero"])
+    assert code == 0
+    t5 = list(csv.reader((tmp_path / "zero" / "t5_indices.csv").open()))
+    assert [row[1] for row in t5 if row[0] == "submitted"][0] == "D0"
 
 
 def test_infinite_and_large_orders(counts_csv, tmp_path):
@@ -363,6 +365,11 @@ def test_year_and_order_parsers():
         _parse_years("a:b")
     with pytest.raises(DataError):
         _parse_years("2014:2012")
+    assert _parse_years("1") == (1,)
+    assert _parse_years("9998:9999") == (9998, 9999)
+    for text in ("0:1", "9999:10000", "0", "10000", "-5:-1"):
+        with pytest.raises(DataError, match="years must lie in 1..9999"):
+            _parse_years(text)
     assert _parse_orders("1,2,0.5") == (1.0, 2.0, 0.5)
     with pytest.raises(DataError):
         _parse_orders("one")

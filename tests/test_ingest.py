@@ -1,7 +1,6 @@
-"""Parsing, aggregation, and count reconstruction."""
+"""Parsing, aggregation, and count-matrix construction."""
 
 import csv
-import warnings
 from datetime import date
 
 import pytest
@@ -12,15 +11,11 @@ from seasonstats.ingest import (
     CountMatrix,
     DataError,
     EventRecord,
-    RoundingAdjustment,
     aggregate,
-    counts_from_shares,
     matrices_from_counts,
     parse_counts,
     parse_events,
 )
-
-import refvalues as rv
 
 EVENT_LINES = [
     "journal,submitted_at,decision",
@@ -54,6 +49,12 @@ def test_parse_events_errors_carry_line_numbers():
         parse_events(["journal,submitted_at,decision", "JSCS,2012-01-01"], "JSCS")
     with pytest.raises(DataError, match="empty input"):
         parse_events([], "JSCS")
+    # only YYYY-MM-DD, although Python 3.11's fromisoformat takes more forms
+    for bad in ("20120117", "2012-W03-2", "2012-1-17"):
+        with pytest.raises(DataError, match=f"^invalid date '{bad}' at line 3: expected YYYY-MM-DD$"):
+            parse_events(["journal,submitted_at,decision",
+                          "JSCS,2012-01-17,accepted",
+                          f"JSCS,{bad},accepted"], "JSCS")
     # rows of other journals are validated too
     with pytest.raises(DataError, match="line 3"):
         parse_events(["journal,submitted_at,decision",
@@ -90,6 +91,8 @@ def _parse_all_then_filter(lines, journal):
             raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
         name, raw_date, raw_decision = (field.strip() for field in row)
         try:
+            if len(raw_date) != 10 or raw_date[4] != "-" or raw_date[7] != "-":
+                raise ValueError("expected YYYY-MM-DD")
             submitted_at = date.fromisoformat(raw_date)
         except ValueError as exc:
             raise DataError(f"invalid date {raw_date!r} at line {lineno}: {exc}") from None
@@ -113,7 +116,8 @@ _GOOD_ROWS = st.tuples(
 ).map(",".join)
 _BAD_ROWS = st.one_of(
     st.tuples(_padded(_JOURNALS),
-              _padded(("2013-02-29", "2012-13-01", "2012/01/15", "", "x")),
+              _padded(("2013-02-29", "2012-13-01", "2012/01/15", "", "x",
+                       "20120117", "2012-W03-2")),
               st.sampled_from(("accepted", "maybe"))).map(",".join),
     st.tuples(_padded(_JOURNALS), st.just("2012-01-15"),
               _padded(("maybe", "", "accept", "acceptéd"))).map(",".join),
@@ -181,6 +185,12 @@ def test_parse_counts_errors():
         parse_counts(["journal,year,month,submitted,accepted", "J,2012,1,5,9"])
     with pytest.raises(DataError, match="non-integer"):
         parse_counts(["journal,year,month,submitted,accepted", "J,2012,1,five,1"])
+    for year in ("0", "-1", "10000"):
+        with pytest.raises(DataError, match="^year out of range at line 3$"):
+            parse_counts(["journal,year,month,submitted,accepted", "J,2012,1,5,1",
+                          f"J,{year},1,5,1"])
+    assert parse_counts(["journal,year,month,submitted,accepted", "J,1,1,5,1",
+                         "J,9999,12,5,1"]) == [("J", 1, 1, 5, 1), ("J", 9999, 12, 5, 1)]
 
 
 def test_matrices_from_counts_requires_complete_years():
@@ -199,49 +209,6 @@ def test_matrices_from_counts_empty_journal():
     rows = parse_counts(COUNTS_LINES)
     with pytest.raises(DataError, match="empty selection"):
         matrices_from_counts(rows, "K")
-
-
-def test_counts_from_shares_recovers_reference_columns():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # reference tables need no adjustment
-        sub = counts_from_shares(rv.JSCS_SUB_TOTALS, rv.JSCS_SUB_SHARES, rv.JSCS_YEARS)
-        ent = counts_from_shares(rv.ENT_SUB_TOTALS, rv.ENT_SUB_SHARES, rv.ENT_YEARS)
-    assert sub.column(0) == rv.JSCS_2012_SUB_COUNTS
-    assert ent.column(0) == rv.ENT_2014_SUB_COUNTS
-    assert sub.totals == rv.JSCS_SUB_TOTALS
-    assert ent.totals == rv.ENT_SUB_TOTALS
-
-
-def test_counts_from_shares_single_adjustment_warns():
-    # 5 dp shares of a 317-paper year applied to nearby totals round one off
-    shares = [[round(c / 317, 5)] for c in rv.JSCS_2012_SUB_COUNTS]
-    for total in (316, 318):
-        with pytest.warns(RoundingAdjustment):
-            matrix = counts_from_shares((total,), shares)
-        assert matrix.totals == (total,)
-
-
-def test_counts_from_shares_inconsistent():
-    # truncated shares drift 4 counts at total 10000 while passing the sum check
-    with pytest.raises(DataError, match="inconsistent shares"):
-        counts_from_shares((10000,), [[0.0833]] * 12)
-    with pytest.raises(DataError, match="does not sum to 1"):
-        counts_from_shares((100,), [[0.2]] * 12)
-    with pytest.raises(DataError, match="negative share"):
-        counts_from_shares((100,), [[-0.1]] + [[1.1 / 11]] * 11)
-
-
-@given(st.lists(st.integers(0, 500), min_size=12, max_size=12))
-def test_counts_from_shares_roundtrip(counts):
-    # exact shares from integer counts always reconstruct the same counts
-    total = sum(counts)
-    if total == 0:
-        return
-    shares = [[c / total] for c in counts]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RoundingAdjustment)
-        matrix = counts_from_shares((total,), shares)
-    assert matrix.column(0) == tuple(counts)
 
 
 def test_pair_validation_rejects_excess_acceptance():

@@ -152,9 +152,12 @@ def test_options_validation():
     for orders, message in (((1.0, 1.0, 2.0), "1.0 and 1.0 share the row label D1"),
                             ((0.1234567, 0.1234568),
                              "0.1234567 and 0.1234568 share the row label D0.123457"),
-                            ((2, 0.5, 2.0), "2 and 2.0 share the row label D2")):
+                            ((2, 0.5, 2.0), "2 and 2.0 share the row label D2"),
+                            ((-0.0, 0.0), "0.0 and 0.0 share the row label D0")):
         with pytest.raises(DataError, match=f"^diversity orders {re.escape(message)}$"):
             AnalysisOptions(q_orders=orders, precision=12)
+    (zero,) = AnalysisOptions(q_orders=(-0.0,)).q_orders
+    assert math.copysign(1.0, zero) == 1.0
     with pytest.raises(DataError, match="both"):
         AnalysisOptions(z_sigma=0.02)
     with pytest.raises(DataError, match="both"):
