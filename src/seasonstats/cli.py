@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
                         help="input shape: event rows or pre-aggregated counts")
     parser.add_argument("--journal", required=True, help="journal label to select")
     parser.add_argument("--years", default=None,
-                        help="inclusive year range y0:y1 (default: all years present)")
+                        help="inclusive year range y0:y1 (default: the journal's first to last year)")
     parser.add_argument("--q", default="1,2",
                         help="comma list of Hill diversity orders (default 1,2)")
     parser.add_argument("--precision", type=int, default=5,
@@ -106,9 +106,6 @@ def main(argv=None) -> int:
             events = parse_events(lines, args.journal)
             if not events:
                 raise DataError(f"empty selection: no rows for journal {args.journal!r}")
-            if years is None:
-                mine = [e.submitted_at.year for e in events]
-                years = tuple(range(min(mine), max(mine) + 1))
             submitted, accepted = aggregate(events, years)
             warning = _coverage_warning(submitted)
             if warning:

@@ -91,14 +91,16 @@ class CountMatrix(_CountFields):
                      for m in range(MONTHS_PER_YEAR))
 
 
-def _check_pair(submitted: CountMatrix, accepted: CountMatrix) -> None:
-    if submitted.years != accepted.years:
-        raise DataError("submitted and accepted matrices cover different years")
-    for m in range(MONTHS_PER_YEAR):
-        for j in range(len(submitted.years)):
-            if accepted.counts[m][j] > submitted.counts[m][j]:
-                raise DataError(
-                    f"accepted exceeds submitted in month {m + 1}, year {submitted.years[j]}")
+def _year_span(present: Iterable[int], years: "Sequence[int] | None") -> tuple:
+    """`years` sorted and deduplicated, by default every year from the first
+    to the last in `present`; an empty range is refused."""
+    if years is None:
+        present = set(present)
+        years = range(min(present), max(present) + 1) if present else ()
+    years = tuple(sorted(set(int(y) for y in years)))
+    if not years:
+        raise DataError("empty year range")
+    return years
 
 
 def parse_events(stream: Iterable[str], journal: str) -> list:
@@ -147,25 +149,22 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
     return records
 
 
-def aggregate(events: Sequence[EventRecord], years: Sequence[int]) -> tuple:
-    """Count one journal's events in `years` into a (submitted, accepted) matrix pair."""
-    years = tuple(sorted(set(int(y) for y in years)))
-    if not years:
-        raise DataError("empty year range")
+def aggregate(events: Sequence[EventRecord], years: "Sequence[int] | None" = None) -> tuple:
+    """Count one journal's events in `years` (default: the first event's year to the
+    last's) into a (submitted, accepted) matrix pair."""
+    years = _year_span((ev.submitted_at.year for ev in events), years)
     index = {y: j for j, y in enumerate(years)}
     sub = [[0] * len(years) for _ in range(MONTHS_PER_YEAR)]
     acc = [[0] * len(years) for _ in range(MONTHS_PER_YEAR)]
-    selected = 0
     for ev in events:
         if ev.submitted_at.year not in index:
             continue
-        selected += 1
         m = ev.submitted_at.month - 1
         j = index[ev.submitted_at.year]
         sub[m][j] += 1
         if ev.decision == "accepted":
             acc[m][j] += 1
-    if selected == 0:
+    if not any(map(any, sub)):
         raise DataError(f"empty selection: no events in {years[0]}-{years[-1]}")
     submitted = CountMatrix(years, tuple(tuple(r) for r in sub), "submitted")
     accepted = CountMatrix(years, tuple(tuple(r) for r in acc), "accepted")
@@ -208,17 +207,14 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
                          years: "Sequence[int] | None" = None) -> tuple:
     """Build the (submitted, accepted) pair for one journal from counts rows.
 
-    Every selected year must be present as a complete 12-month block; a
-    month with no events must be an explicit zero row.
+    `years` defaults to every year from the journal's first row to its last.
+    Each must be present as a complete 12-month block; a month with no
+    events must be an explicit zero row.
     """
     mine = [r for r in rows if r[0] == journal]
     if not mine:
         raise DataError(f"empty selection: no rows for journal {journal!r}")
-    if years is None:
-        years = sorted(set(r[1] for r in mine))
-    years = tuple(sorted(set(int(y) for y in years)))
-    if not years:
-        raise DataError("empty year range")
+    years = _year_span((r[1] for r in mine), years)
     cells = {}
     for _, year, month, submitted, accepted in mine:
         if year not in years:
@@ -235,5 +231,4 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
     acc = tuple(tuple(cells[(y, m + 1)][1] for y in years) for m in range(MONTHS_PER_YEAR))
     submitted = CountMatrix(years, sub, "submitted")
     accepted = CountMatrix(years, acc, "accepted")
-    _check_pair(submitted, accepted)
     return submitted, accepted

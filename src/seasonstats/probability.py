@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
+from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
 
 
 class MonthTable(NamedTuple):
@@ -43,25 +43,23 @@ def conditional(submitted: CountMatrix, accepted: CountMatrix) -> MonthTable:
     """Acceptance probability per (month, year) cell and cumulated per month.
 
     A month with zero submissions has no defined acceptance rate; the cell
-    is None and is excluded from column sums and downstream entropies.
+    is None and is excluded from column sums and downstream entropies. The pair
+    must cover the same years, with no cell accepting more than was submitted.
     """
-    _check_pair(submitted, accepted)
-    n_years = len(submitted.years)
+    years = submitted.years
+    if accepted.years != years:
+        raise DataError("submitted and accepted matrices cover different years")
     per_year = []
-    for m in range(MONTHS_PER_YEAR):
+    for month, (sub_row, acc_row) in enumerate(zip(submitted.counts, accepted.counts), 1):
         row = []
-        for j in range(n_years):
-            s = submitted.counts[m][j]
-            a = accepted.counts[m][j]
+        for year, s, a in zip(years, sub_row, acc_row):
+            if a > s:
+                raise DataError(f"accepted exceeds submitted in month {month}, year {year}")
             row.append(None if s == 0 else a / s)
         per_year.append(tuple(row))
-    sub_cum = submitted.cumulated
-    acc_cum = accepted.cumulated
-    cumulated = tuple(
-        None if sub_cum[m] == 0 else acc_cum[m] / sub_cum[m]
-        for m in range(MONTHS_PER_YEAR)
-    )
-    return MonthTable(submitted.years, tuple(per_year), cumulated)
+    cumulated = tuple(None if s == 0 else a / s
+                      for s, a in zip(submitted.cumulated, accepted.cumulated))
+    return MonthTable(years, tuple(per_year), cumulated)
 
 
 def normalize(vector: Sequence["float | None"]) -> tuple:

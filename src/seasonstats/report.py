@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
-from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_pair
+from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
 from .probability import MonthTable, conditional, normalize, shares
 from .spectral import top_peaks
 from .stats import chi_square_uniform, describe, t_one_sample, z_one_sample
@@ -224,7 +224,6 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
     """Assemble every table for one journal's (submitted, accepted) pair."""
     if options is None:
         options = AnalysisOptions()
-    _check_pair(submitted, accepted)
     years = submitted.years
     labels = tuple(str(y) for y in years) + (f"[{years[0]}-{years[-1]}]",)
 

@@ -20,28 +20,10 @@ import math
 from typing import NamedTuple, Sequence
 
 
-class _PeakFields(NamedTuple):
+class SpectralPeak(NamedTuple):
     frequency: float  # cycles per month
     period: float  # months, 1 / frequency
     amplitude: float
-
-
-class SpectralPeak(_PeakFields):
-    __slots__ = ()
-
-    def __new__(cls, frequency: float, period: float, amplitude: float):
-        if not 0.0 < frequency <= 0.5:
-            raise ValueError("frequency must lie in (0, 0.5]")
-        if not math.isclose(period, 1.0 / frequency, rel_tol=1e-9):
-            raise ValueError("period must be the reciprocal of frequency")
-        if amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        return super().__new__(cls, frequency, period, amplitude)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so both run the checks in __new__
-        return cls(*iterable)
 
 
 def _smallest_factor(n: int) -> int:

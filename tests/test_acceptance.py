@@ -305,3 +305,24 @@ def test_criterion_9_cli_golden_diff(tmp_path, subdir, emit):
         produced = (tmp_path / golden_file.name).read_text(encoding="utf-8")
         assert produced == golden_file.read_text(encoding="utf-8"), golden_file.name
     _verdict(9, True, f"{subdir} {emit} documents diff clean against the committed golden files")
+
+
+@pytest.mark.parametrize("subdir", ["entropy", "jscs"])
+@pytest.mark.parametrize("emit", FORMATS)
+def test_events_reproduce_counts_goldens(tmp_path, capsys, journal_counts_rows,
+                                         events_from_counts, subdir, emit):
+    # the events path gives the same documents as the counts they were built from
+    input_name, journal, extra = rv.GOLDEN_RUNS[subdir]
+    assert input_name == "journal_counts.csv" and not extra
+    events = tmp_path / "events.csv"
+    rows = [r for r in journal_counts_rows if r[0] == journal]
+    events.write_text(events_from_counts(rows), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["--input", str(events), "--format", "events", "--journal", journal,
+                 "--emit", emit, "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    goldens = sorted((GOLDEN / subdir).glob(f"*.{emit}"))
+    assert sorted(p.name for p in out.iterdir()) == [g.name for g in goldens]
+    for golden_file in goldens:
+        assert (out / golden_file.name).read_bytes() == golden_file.read_bytes(), golden_file.name

@@ -166,6 +166,26 @@ def test_events_years_without_rows_exit_1(events_csv, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_gap_year_exits_1_on_both_input_shapes(journal_counts_rows, events_from_counts,
+                                                tmp_path, capsys):
+    # JSCS 2012 and 2014 only: the default span is 2012..2014 for both shapes,
+    # so 2013 is missing from the counts and empty in the events
+    rows = [r for r in journal_counts_rows if r[0] == "JSCS" and r[1] != 2013]
+    counts = tmp_path / "counts.csv"
+    counts.write_text("journal,year,month,submitted,accepted\n"
+                      + "".join(",".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
+    events = tmp_path / "events.csv"
+    events.write_text(events_from_counts(rows), encoding="utf-8")
+    for path, shape, message in ((counts, "counts", "missing month 2013-01 for journal 'JSCS'"),
+                                 (events, "events", "empty year 2013: zero total")):
+        for years in ((), ("--years", "2012:2014")):
+            code = _run(["--input", path, "--format", shape, "--journal", "JSCS", *years,
+                         "--out", tmp_path / "x"])
+            assert code == 1
+            assert capsys.readouterr().err == f"analyze: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_year_range_exits_1(counts_csv, tmp_path, capsys):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--years", "2014:2012", "--out", tmp_path / "x"])

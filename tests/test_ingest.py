@@ -16,6 +16,8 @@ from seasonstats.ingest import (
     parse_counts,
     parse_events,
 )
+from seasonstats.probability import conditional
+from seasonstats.report import build_bundle
 
 EVENT_LINES = [
     "journal,submitted_at,decision",
@@ -77,6 +79,23 @@ def test_aggregate_empty_selection():
         aggregate([], (2012,))
     with pytest.raises(DataError, match="empty selection: no events in 1999-1999"):
         aggregate(parse_events(EVENT_LINES, "JSCS"), (1999,))
+    with pytest.raises(DataError, match="^empty year range$"):
+        aggregate([])
+    with pytest.raises(DataError, match="^empty year range$"):
+        aggregate(parse_events(EVENT_LINES, "JSCS"), ())
+
+
+def test_aggregate_default_years_span_first_to_last():
+    records = parse_events(EVENT_LINES, "JSCS")
+    assert aggregate(records) == aggregate(records, (2013, 2012, 2012))
+    assert aggregate(records)[0].years == (2012, 2013)
+    # a year without events inside the span is a zero column, not a skipped one
+    gap = [EventRecord(date(2012, 3, 1), "accepted"), EventRecord(date(2014, 5, 2), "rejected")]
+    submitted, accepted = aggregate(gap)
+    assert submitted.years == (2012, 2013, 2014)
+    assert submitted.totals == (1, 0, 1)
+    assert accepted.totals == (1, 0, 0)
+    assert aggregate(gap) == aggregate(gap, range(2012, 2015))
 
 
 def _parse_all_then_filter(lines, journal):
@@ -211,12 +230,33 @@ def test_matrices_from_counts_empty_journal():
         matrices_from_counts(rows, "K")
 
 
+def test_matrices_from_counts_default_years_span_gap(journal_counts_rows):
+    # JSCS 2012 and 2014 only: the default span still holds 2013, which has no rows
+    rows = [r for r in journal_counts_rows if r[0] == "JSCS" and r[1] != 2013]
+    for years in (None, range(2012, 2015)):
+        with pytest.raises(DataError, match=r"^missing month 2013-01 for journal 'JSCS'$"):
+            matrices_from_counts(rows, "JSCS", years)
+    assert matrices_from_counts(journal_counts_rows, "JSCS", (2014, 2012, 2013, 2012)) \
+        == matrices_from_counts(journal_counts_rows, "JSCS")
+    with pytest.raises(DataError, match="^empty year range$"):
+        matrices_from_counts(rows, "JSCS", ())
+
+
 def test_pair_validation_rejects_excess_acceptance():
+    # conditional, and so build_bundle, refuses a pair that parse_counts would not
+    # have built; the first bad cell in month-major order is named
+    submitted = CountMatrix((2012, 2013), ((10, 10),) * 12, "submitted")
+    counts = [[1, 1] for _ in range(12)]
+    counts[0][1] = 11  # month 1, year 2013
+    counts[1][0] = 11  # month 2, year 2012
+    bad = CountMatrix((2012, 2013), tuple(map(tuple, counts)), "accepted")
+    other_years = CountMatrix((2012,), ((1,),) * 12, "accepted")
+    for check in (conditional, build_bundle):
+        with pytest.raises(DataError, match="^accepted exceeds submitted in month 1, year 2013$"):
+            check(submitted, bad)
+        with pytest.raises(DataError,
+                           match="^submitted and accepted matrices cover different years$"):
+            check(submitted, other_years)
     rows = parse_counts(COUNTS_LINES)
     submitted, accepted = matrices_from_counts(rows, "J")
-    bad = CountMatrix(submitted.years,
-                      tuple((row[0] + 100,) for row in accepted.counts),
-                      "accepted")
-    from seasonstats.ingest import _check_pair
-    with pytest.raises(DataError, match="exceeds submitted"):
-        _check_pair(submitted, bad)
+    assert conditional(submitted, accepted).per_year[0] == (0.1,)

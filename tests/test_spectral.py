@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seasonstats.spectral import SpectralPeak, dft_magnitudes, top_peaks
+from seasonstats.spectral import dft_magnitudes, top_peaks
 
 import refvalues as rv
 
@@ -110,19 +110,6 @@ def test_top_peaks_ordering():
     assert len(top_peaks(x, 99)) == 18
     with pytest.raises(ValueError):
         top_peaks(x, 0)
-
-
-def test_spectral_peak_validation():
-    peak = SpectralPeak(0.25, 4.0, 3.0)
-    assert peak.period == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        SpectralPeak(0.0, math.inf, 1.0)
-    with pytest.raises(ValueError):
-        SpectralPeak(0.6, 1 / 0.6, 1.0)
-    with pytest.raises(ValueError):
-        SpectralPeak(0.25, 5.0, 1.0)  # period must invert the frequency
-    with pytest.raises(ValueError):
-        SpectralPeak(0.25, 4.0, -1.0)
 
 
 def test_dft_requires_two_points():

@@ -1,4 +1,4 @@
-"""The value types: immutable named tuples, four of which check their fields."""
+"""The value types: immutable named tuples, three of which check their fields."""
 
 import re
 from datetime import date
@@ -16,8 +16,6 @@ VALIDATED = [
      "decision", "Accepted", DataError, "unknown decision 'Accepted'"),
     (CountMatrix, {"years": (2012,), "counts": ((1,),) * 12, "outcome": "submitted"},
      "counts", ((1,),) * 11, DataError, "count matrix must have 12 month rows"),
-    (SpectralPeak, {"frequency": 0.25, "period": 4.0, "amplitude": 1.0},
-     "period", 3.0, ValueError, "period must be the reciprocal of frequency"),
     (AnalysisOptions, {"q_orders": (1.0, 2.0), "precision": 5, "t_null": 0.1,
                        "z_sigma": None, "z_null": None},
      "precision", 5.5, DataError, "precision must be an integer"),
