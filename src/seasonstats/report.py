@@ -31,7 +31,10 @@ from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
 from .probability import MonthTable, conditional, normalize, shares
 from .spectral import top_peaks
-from .stats import chi_square_uniform, describe, t_one_sample, z_one_sample
+from .stats import chi_square_uniform, describe, footer_statistics
+# bound here for perfbench/tracing.py, which wraps the names this module
+# looks up; the footers reach these tests through footer_statistics
+from .stats import t_one_sample, z_one_sample  # noqa: F401
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
@@ -180,17 +183,17 @@ def _columns(table) -> list:
 def _test_rows(name, result) -> list:
     return [(name, result.statistic), (f"{name}_p", result.p_value)]
 
-def _band_rows(col) -> list:
-    stats = describe(col)
+def _band_rows(stats) -> list:
     return [("mean", stats.mean), ("std_dev", stats.std_dev),
             ("mean_minus_2sd", stats.band_low), ("mean_plus_2sd", stats.band_high)]
 
 def _tested_rows(col, options) -> list:
     """The t rows, the z rows when a z test is configured, then the band rows."""
-    rows = _test_rows("t", t_one_sample(col, options.t_null))
-    if options.z_sigma is not None:
-        rows += _test_rows("z", z_one_sample(col, options.z_null, options.z_sigma))
-    return rows + _band_rows(col)
+    t, z, stats = footer_statistics(col, options.t_null, options.z_null, options.z_sigma)
+    rows = _test_rows("t", t)
+    if z is not None:
+        rows += _test_rows("z", z)
+    return rows + _band_rows(stats)
 
 def _defined_sum(col) -> float:
     return sum(v for v in col if v is not None)
@@ -205,7 +208,7 @@ def _conditional_footer(col, options) -> list:
             *_tested_rows(col, options)]
 
 def _terms_footer(terms) -> list:
-    return [("sum", _defined_sum(terms)), *_band_rows(terms)]
+    return [("sum", _defined_sum(terms)), *_band_rows(describe(terms))]
 
 def _index_column(vector, options, ratios: bool) -> list:
     places = RATIO_QUOTED_PLACES if ratios else options.precision

@@ -97,17 +97,24 @@ def _standard_score(name: str, diff: float, spread: float, n: int) -> float:
     return stat
 
 
-def describe(x: Sequence["float | None"]) -> DescriptiveStats:
-    """Mean, sample (n-1) standard deviation, and the mean +/- 2 sigma band."""
+def _moments(x: Sequence["float | None"]) -> tuple:
+    """(n, mean, sample standard deviation) of the defined values of x."""
     values = _values(x)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
-    mean = _mean(values)
-    std = _stdev(values)
+    return len(values), _mean(values), _stdev(values)
+
+
+def _band(n: int, mean: float, std: float) -> DescriptiveStats:
     low, high = mean - 2.0 * std, mean + 2.0 * std
     if math.isinf(low) or math.isinf(high):
         raise ValueError("mean +/- 2 sd band overflows the float range")
-    return DescriptiveStats(mean, std, low, high, len(values))
+    return DescriptiveStats(mean, std, low, high, n)
+
+
+def describe(x: Sequence["float | None"]) -> DescriptiveStats:
+    """Mean, sample (n-1) standard deviation, and the mean +/- 2 sigma band."""
+    return _band(*_moments(x))
 
 
 def chi_square_uniform(counts: Sequence[int]) -> TestResult:
@@ -145,20 +152,9 @@ def t_cdf(t: float, dof: int) -> float:
     return p if t > 0 else 1.0 - p
 
 
-def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
-    """One-sample t-test of the vector mean against a hypothesized value k.
-
-    t = (mean - k) / (s / sqrt(n)) with the sample standard deviation;
-    the p-value is the two-sided t-tail with n - 1 degrees of freedom.
-    """
-    values = _values(x)
-    if len(values) < 2:
-        raise ValueError("need at least 2 values")
-    mean = _mean(values)
-    std = _stdev(values)
+def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
-    n = len(values)
     stat = _standard_score("t", mean - k, std, n)
     dof = n - 1
     # two-sided tail directly: 2 P(T > |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2)
@@ -166,14 +162,43 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
     return TestResult(stat, min(p, 1.0), dof, k, "t_one_sample")
 
 
+def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    stat = _standard_score("z", mean - k, sigma, n)
+    p = 2.0 * (1.0 - normal_cdf(abs(stat)))
+    return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")
+
+
+def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
+    """One-sample t-test of the vector mean against a hypothesized value k.
+
+    t = (mean - k) / (s / sqrt(n)) with the sample standard deviation;
+    the p-value is the two-sided t-tail with n - 1 degrees of freedom.
+    """
+    return _t_test(*_moments(x), k)
+
+
 def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestResult:
     """One-sample z-test with known standard deviation sigma."""
-    if sigma <= 0:
+    if sigma <= 0:  # refused before the values are read
         raise ValueError("sigma must be positive")
     values = _values(x)
     if not values:
         raise ValueError("empty sample")
-    mean = _mean(values)
-    stat = _standard_score("z", mean - k, sigma, len(values))
-    p = 2.0 * (1.0 - normal_cdf(abs(stat)))
-    return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")
+    return _z_test(len(values), _mean(values), k, sigma)
+
+
+def footer_statistics(x: Sequence["float | None"], t_null: float,
+                      z_null: "float | None" = None,
+                      z_sigma: "float | None" = None) -> tuple:
+    """(t test, z test or None, describe) of x from one pass over its values.
+
+    Equal to (t_one_sample(x, t_null), z_one_sample(x, z_null, z_sigma) when
+    z_sigma is given, describe(x)) bit for bit, raising the first error those
+    calls would raise in that order.
+    """
+    n, mean, std = _moments(x)
+    t = _t_test(n, mean, std, t_null)
+    z = None if z_sigma is None else _z_test(n, mean, z_null, z_sigma)
+    return t, z, _band(n, mean, std)
