@@ -7,9 +7,17 @@ months with no defined value; such entries are skipped.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Vector = Sequence["float | None"]
+
+
+class IndexSummary(NamedTuple):
+    diversities: tuple  # Hill diversity at each requested order
+    exp_entropy: float
+    theil: float
+    hhi: float
+    gini: float
 
 
 def _defined(p: Vector) -> list[float]:
@@ -24,13 +32,19 @@ def _defined(p: Vector) -> list[float]:
         raise ValueError("no defined entries")
     return out
 
+# The _-prefixed kernels take the list `_defined` returns. Each sums a
+# built list left to right, in the order the index's formula is written.
+
+def _entropy(values: list) -> float:
+    return sum([-v * math.log(v) for v in values if v > 0.0])
+
 def entropy(p: Vector) -> float:
     """Shannon entropy sum(-p ln p) with 0 ln 0 = 0.
 
     Entries need not sum to 1; applied to a raw conditional-probability
     column this is the column's conditional entropy.
     """
-    return sum(-v * math.log(v) for v in _defined(p) if v > 0.0)
+    return _entropy(_defined(p))
 
 def monthly_entropy_terms(p: Vector) -> tuple:
     """Per-entry information terms -p ln p, preserving positions and None."""
@@ -57,15 +71,18 @@ def diversity(p: Vector, q: float) -> float:
     """
     if q < 0:
         raise ValueError("diversity order must be non-negative")
-    values = _defined(p)
+    return _diversity(_defined(p), q)
+
+def _diversity(values: list, q: float, h: "float | None" = None) -> float:
+    """Hill diversity of order q >= 0; h is the entropy of values when known."""
     p_max = max(values)
     if p_max == 0.0:
         raise ValueError("all entries are zero")
     if q == 1.0:
-        return math.exp(entropy(values))
+        return math.exp(_entropy(values) if h is None else h)
     if q == math.inf:
         return 1.0 / p_max
-    total = sum((v / p_max) ** q for v in values if v > 0.0)
+    total = sum([(v / p_max) ** q for v in values if v > 0.0])
     try:
         # the two factors are taken as one exponential: near q = 1 one of
         # them underflows while the other overflows
@@ -86,11 +103,15 @@ def theil(p: Vector) -> float:
     Defined so that theil(p) + entropy(p) = ln N holds exactly for a
     normalized p over N defined categories.
     """
-    return math.log(len(_defined(p))) - entropy(p)
+    values = _defined(p)
+    return math.log(len(values)) - _entropy(values)
+
+def _hhi(values: list) -> float:
+    return sum([v * v for v in values])
 
 def hhi(p: Vector) -> float:
     """Herfindahl-Hirschman concentration: sum of squared shares."""
-    return sum(v * v for v in _defined(p))
+    return _hhi(_defined(p))
 
 def lorenz(z: Vector) -> list:
     """Lorenz curve points (population share, cumulative value share).
@@ -117,11 +138,34 @@ def gini(z: Vector) -> float:
     G = sum_ij |z_i - z_j| / (2 n^2 mean), which equals the doubled
     Lorenz-curve gap for the piecewise-linear curve of `lorenz`.
     """
-    values = _defined(z)
+    return _gini(_defined(z))
+
+def _gini(values: list) -> float:
     total = sum(values)
     if total <= 0:
         raise ValueError("all entries are zero")
     n = len(values)
-    abs_diff = sum(abs(a - b) for a in values for b in values)
+    abs_diff = sum([abs(a - b) for a in values for b in values])
     return abs_diff / (2.0 * n * total)
+
+def index_summary(p: Vector, q_orders: Sequence[float],
+                  hill: "Vector | None" = None) -> IndexSummary:
+    """Every index of p with one filtering of each vector and one entropy of p.
+
+    The diversities are of `hill` at each order in q_orders, of p itself
+    when hill is None. Each field equals its separate call bit for bit:
+    diversity(hill or p, q), exponential_entropy(p), theil(p), hhi(p) and
+    gini(p). The orders are checked first, then p's entries, then hill's.
+    """
+    if any(q < 0 for q in q_orders):
+        raise ValueError("diversity order must be non-negative")
+    values = _defined(p)
+    h = _entropy(values)
+    if hill is None:
+        diversities = tuple(_diversity(values, q, h) for q in q_orders)
+    else:
+        hill_values = _defined(hill)
+        diversities = tuple(_diversity(hill_values, q) for q in q_orders)
+    return IndexSummary(diversities, math.exp(-h), math.log(len(values)) - h,
+                        _hhi(values), _gini(values))
 

@@ -27,13 +27,16 @@ from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
+from .indices import entropy, index_summary, monthly_entropy_terms
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
 from .probability import MonthTable, conditional, normalize, shares
 from .spectral import top_peaks
 from .stats import chi_square_uniform, describe, footer_statistics
-# bound here for perfbench/tracing.py, which wraps the names this module
-# looks up; the footers reach these tests through footer_statistics
+
+# perfbench/tracing.py wraps functions at the names this module looks up.
+# These stay bound for it, although the footers and the index block now
+# reach them through footer_statistics and index_summary.
+from .indices import diversity, exponential_entropy, gini, hhi, theil  # noqa: F401
 from .stats import t_one_sample, z_one_sample  # noqa: F401
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -214,11 +217,10 @@ def _index_column(vector, options, ratios: bool) -> list:
     places = RATIO_QUOTED_PLACES if ratios else options.precision
     rounded = tuple(None if v is None else quote_half_down(v, places)
                     for v in vector)
-    normalized = normalize(rounded)
-    hill_input = rounded if ratios else normalized
-    return [*((_diversity_label(q), diversity(hill_input, q)) for q in options.q_orders),
-            ("exp_entropy", exponential_entropy(normalized)), ("theil", theil(normalized)),
-            ("hhi", hhi(normalized)), ("gini", gini(normalized))]
+    summary = index_summary(normalize(rounded), options.q_orders, rounded if ratios else None)
+    return [*zip(map(_diversity_label, options.q_orders), summary.diversities),
+            ("exp_entropy", summary.exp_entropy), ("theil", summary.theil),
+            ("hhi", summary.hhi), ("gini", summary.gini)]
 
 
 def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
