@@ -8,10 +8,13 @@ series total.
 It is computed with a recursive mixed-radix Cooley-Tukey FFT (Cooley and
 Tukey 1965). A series of T = 12 x years months factors into 2, 3 and the
 prime factors of the year count, so the cost is O(T x sum of those primes)
-instead of the O(T^2) of the direct sum. A prime length falls back to the
-direct sum. Every term is a product with a table entry, so a transform
-of zeros stays exactly zero: an impulse gives exactly equal magnitudes,
-and the tie rule of `top_peaks` sees exact ties.
+instead of the O(T^2) of the direct sum. A prime length is the direct sum,
+done as the same level over its single samples. Each level adds its
+twiddled sub-transforms to all output bins at once, one list
+comprehension per sub-transform, in the order of the plain per-bin sum;
+every term but the unrotated first is a product with a table entry, so a
+transform of zeros stays exactly zero: an impulse gives exactly equal
+magnitudes, and the tie rule of `top_peaks` sees exact ties.
 """
 from __future__ import annotations
 
@@ -39,18 +42,22 @@ def _fft(x: list, twiddle: list) -> list:
     """Full DFT of x; len(x) divides len(twiddle) = N, twiddle[j] = exp(-2 pi i j / N).
 
     With p the smallest prime factor of n = len(x) and m = n / p, the p
-    decimated series x[r::p] have DFTs Y_r of length m, and
-    X_k = sum_r exp(-2 pi i r k / n) Y_r[k mod m].
+    decimated series x[r::p] have DFTs Y_r of length m (for a prime n, the
+    single samples), and X_k = sum_r exp(-2 pi i r k / n) Y_r[k mod m].
+    The r = 0 term is taken as it is: its factor is 1, and multiplying by
+    that or adding it to 0 could change only the sign of a zero, which no
+    magnitude sees.
     """
     n = len(x)
     stride = len(twiddle) // n  # exp(-2 pi i j / n) = twiddle[j * stride]
     w = twiddle[::stride]
     p = _smallest_factor(n)
-    if p == n:
-        return [sum(v * w[k * t % n] for t, v in enumerate(x)) for k in range(n)]
-    m = n // p
-    subs = [_fft(x[r::p], twiddle) for r in range(p)]
-    return [sum(y[k % m] * w[r * k % n] for r, y in enumerate(subs)) for k in range(n)]
+    subs = [[v] for v in x] if p == n else [_fft(x[r::p], twiddle) for r in range(p)]
+    out = subs[0] * p  # Y_0[k mod m] for every k
+    for r in range(1, p):
+        # (w * r)[::r][k] = w[r k mod n]
+        out = [o + y * c for o, y, c in zip(out, subs[r] * p, (w * r)[::r])]
+    return out
 
 
 def dft_magnitudes(x: Sequence[float]) -> tuple:
