@@ -290,10 +290,24 @@ def _fmt(value, places):
         return "NA"
     return format_number(value, places)
 
+def _json_number(text: str) -> str:
+    """repr(float(text)) for the fixed-point text of format_number.
+
+    Text of at most 16 characters has at most 15 significant digits and an
+    integer part below 10**15, so the float it reads as gives back the same
+    digits, and float.__repr__ writes them in fixed point from 1e-4 on:
+    only the trailing zeros go. Other text takes the round trip.
+    """
+    short = text.rstrip("0")
+    if len(short) > 16 or short.startswith(("0.0000", "-0.0000")):
+        return repr(float(text))
+    return short + "0" if short[-1] == "." else short
+
 def _jnum(value, places):
+    """The JSON text of a value as format_number rounds it, or None."""
     if value is None:
         return None
-    return float(format_number(value, places))
+    return _json_number(format_number(value, places))
 
 
 _PEAK_COLUMNS = ("frequency", "period_months", "amplitude")
@@ -389,19 +403,22 @@ def _nest_series(layout: _Layout, places):
 _NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
             ("series", "rank"): _nest_series}
 
-# with default arguments json writes these types with these functions;
-# floats here are always finite, as format_number refuses nan and inf
+# with default arguments json writes these types with these functions
 _JSON_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
                  type(None): lambda _: "null"}
+# render's documents hold every string and number leaf as its JSON text
+# already (numbers from _jnum), which is written as it is
+_WRITTEN_LEAVES = {**_JSON_SCALARS, str: str}
 
-def _json_text(value, indent="") -> str:
+def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
     """json.dumps(value, indent=2) for None, int, finite float and str, nested in
     lists and str-keyed dicts; TypeError for any other type, bool and tuple included.
+    `scalars` maps each leaf type to the function that writes it.
 
     json writes indented text with its pure-Python encoder, as its C encoder
     writes compact text only; this does the same work in fewer calls.
     """
-    scalar = _JSON_SCALARS.get(type(value))
+    scalar = scalars.get(type(value))
     if scalar is not None:
         return scalar(value)
     inner = indent + "  "
@@ -412,12 +429,12 @@ def _json_text(value, indent="") -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
-            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner, scalars))
         opening, closing = "{", "}"
     elif type(value) is list:
         if not value:
             return "[]"
-        items = [_json_text(item, inner) for item in value]
+        items = [_json_text(item, inner, scalars) for item in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
@@ -435,10 +452,11 @@ def render(bundle: AnalysisBundle, format: str) -> list:
     documents = []
     for name, layout in _layouts(bundle).items():
         if format == "json":
-            body = {"name": name, "journal": bundle.journal,
+            body = {"name": encode_basestring_ascii(name),
+                    "journal": encode_basestring_ascii(bundle.journal),
                     "years": list(bundle.years), "precision": places}
             body.update(_NESTERS[layout.keys](layout, places))
-            text = _json_text(body) + "\n"
+            text = _json_text(body, scalars=_WRITTEN_LEAVES) + "\n"
         else:
             text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
         documents.append(NamedDocument(name, text))

@@ -374,6 +374,43 @@ def test_json_text_is_json_dumps(value):
     assert report._json_text(value) + "\n" == json.dumps(value, indent=2) + "\n"
 
 
+_JSON_NUMBER_INPUTS = st.one_of(
+    st.floats(-1e22, 1e22),
+    st.floats(-1e-3, 1e-3),
+    # short decimals, whose rounded text often ends in zeros
+    st.builds(lambda k, e: k / 10 ** e, st.integers(-10 ** 17, 10 ** 17), st.integers(0, 14)),
+)
+
+
+@given(_JSON_NUMBER_INPUTS, st.integers(1, 12))
+@example(-0.0, 5)
+@example(0.0, 1)
+@example(-4e-6, 5)  # rounds to -0.00000
+@example(3e-05, 7)  # below 1e-4: exponent form
+@example(0.0001, 4)
+@example(1e16, 5)
+@example(2.5e17, 3)
+@example(999999999999999.9, 1)  # rounds up to 1e15
+@example(123456789012.34567, 5)  # 17 significant digits
+@example(1234567890123.0, 3)  # 16 significant digits, trailing zeros
+@example(-12345678901234.5, 1)
+def test_json_number_is_repr_of_rounded_text(x, places):
+    # JSON numbers are the rounded CSV/Markdown text in float.__repr__ form
+    assume(abs(x) < 10.0 ** (26 - places))  # format_number's Decimal fallback limit
+    assert report._jnum(x, places) == repr(float(format_number(x, places)))
+
+
+def test_json_documents_are_json_dumps_of_their_numbers(jscs_matrices):
+    # numbers written from their text and pre-quoted strings give the bytes
+    # json.dumps gives for the parsed document
+    journal = 'J\u00e9 "q" \u2028'
+    bundle = build_bundle(*jscs_matrices, AnalysisOptions(precision=12), journal=journal)
+    for doc in render(bundle, "json"):
+        body = json.loads(doc.text)
+        assert body["journal"] == journal
+        assert doc.text == json.dumps(body, indent=2) + "\n"
+
+
 def test_json_text_refuses_other_types():
     # json would write these as true, a list, or a key converted to "1"
     for value in (True, (1, 2), {1: 0.5}, [None, False], {"a": {None: 1}}):
