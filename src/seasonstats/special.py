@@ -148,5 +148,9 @@ def regularized_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
 
 def normal_cdf(z: float) -> float:
-    """Standard normal cumulative distribution function."""
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    """Standard normal cumulative distribution function.
+
+    Taken from erfc, which keeps its relative accuracy far into the lower
+    tail, where 1 + erf(z / sqrt 2) cancels.
+    """
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))

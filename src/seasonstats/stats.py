@@ -166,7 +166,8 @@ def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     stat = _standard_score("z", mean - k, sigma, n)
-    p = 2.0 * (1.0 - normal_cdf(abs(stat)))
+    # the lower tail at -|z|: 1 - normal_cdf(|z|) cancels to 0 from z ~ 8.3
+    p = 2.0 * normal_cdf(-abs(stat))
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")
 
 

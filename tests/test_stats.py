@@ -231,6 +231,17 @@ def test_z_one_sample():
         z_one_sample(x, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("z", [5.0, 6.0, 7.0, 7.5, 8.0, 8.5, 9.0, 10.0, 11.0, 12.0])
+def test_z_p_value_far_tail_matches_scipy(z):
+    # a z statistic of exactly z: the two-sided tail keeps its relative
+    # accuracy where 2 (1 - Phi(z)) was 7% off at z = 8 and 0 from z ~ 8.3
+    for sign in (1.0, -1.0):
+        result = z_one_sample([sign * z, sign * z], 0.0, math.sqrt(2.0))
+        ref = 2.0 * spstats.norm.sf(abs(result.statistic))
+        assert ref > 0.0
+        assert result.p_value == pytest.approx(ref, rel=3e-14)
+
+
 def test_z_matches_normal_tail():
     x = [0.2, 0.4, 0.6, 0.8]
     result = z_one_sample(x, 0.5, 0.2)
