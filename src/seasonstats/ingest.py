@@ -93,13 +93,18 @@ class CountMatrix(_CountFields):
 
 def _year_span(present: Iterable[int], years: "Sequence[int] | None") -> tuple:
     """`years` sorted and deduplicated, by default every year from the first
-    to the last in `present`; an empty range is refused."""
+    to the last in `present`; an empty range and a gap are refused, as the
+    DFT reads the years' months as one series."""
     if years is None:
         present = set(present)
         years = range(min(present), max(present) + 1) if present else ()
     years = tuple(sorted(set(int(y) for y in years)))
     if not years:
         raise DataError("empty year range")
+    gaps = [a + 1 for a, b in zip(years, years[1:]) if b != a + 1]
+    if gaps:
+        raise DataError(f"years {years[0]}-{years[-1]} are not contiguous: "
+                        f"{gaps[0]} is missing")
     return years
 
 
@@ -151,7 +156,7 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
 
 def aggregate(events: Sequence[EventRecord], years: "Sequence[int] | None" = None) -> tuple:
     """Count one journal's events in `years` (default: the first event's year to the
-    last's) into a (submitted, accepted) matrix pair."""
+    last's) into a (submitted, accepted) matrix pair; `years` must be contiguous."""
     years = _year_span((ev.submitted_at.year for ev in events), years)
     index = {y: j for j, y in enumerate(years)}
     sub = [[0] * len(years) for _ in range(MONTHS_PER_YEAR)]
@@ -207,8 +212,8 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
                          years: "Sequence[int] | None" = None) -> tuple:
     """Build the (submitted, accepted) pair for one journal from counts rows.
 
-    `years` defaults to every year from the journal's first row to its last.
-    Each must be present as a complete 12-month block; a month with no
+    `years` defaults to every year from the journal's first row to its last;
+    given years must be contiguous. Each must be present as a complete 12-month block; a month with no
     events must be an explicit zero row.
     """
     mine = [r for r in rows if r[0] == journal]

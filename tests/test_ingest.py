@@ -242,6 +242,21 @@ def test_matrices_from_counts_default_years_span_gap(journal_counts_rows):
         matrices_from_counts(rows, "JSCS", ())
 
 
+def test_non_contiguous_years_refused(journal_counts_rows):
+    # the t6 DFT would join December 2012 to January 2014
+    message = r"^years 2012-2014 are not contiguous: 2013 is missing$"
+    for years in ((2012, 2014), (2014, 2012, 2014), [2012, 2014]):
+        with pytest.raises(DataError, match=message):
+            matrices_from_counts(journal_counts_rows, "JSCS", years)
+    records = parse_events(EVENT_LINES, "JSCS")
+    with pytest.raises(DataError, match=message):
+        aggregate(records, (2012, 2014))
+    with pytest.raises(DataError, match=r"^years 2010-2016 are not contiguous: 2011 is missing$"):
+        aggregate(records, (2010, 2012, 2013, 2016))
+    # contiguous given years are accepted in any order, repeats dropped
+    assert aggregate(records, (2013, 2012, 2013))[0].years == (2012, 2013)
+
+
 def test_pair_validation_rejects_excess_acceptance():
     # conditional, and so build_bundle, refuses a pair that parse_counts would not
     # have built; the first bad cell in month-major order is named
