@@ -24,6 +24,7 @@ from seasonstats.report import (
     quote_half_down,
     render,
 )
+from seasonstats.stats import describe, t_one_sample, z_one_sample
 
 import refvalues as rv
 
@@ -338,11 +339,50 @@ def test_undefined_cells_render_na_and_null():
 
 
 def test_footer_errors_name_table_and_column():
-    # equal monthly counts give a constant share column, which the t test refuses
+    # equal monthly counts give a constant share column, which the t test
+    # refuses before the z test and the band are reached
     sub = CountMatrix((2020,), ((10,),) * 12, "submitted")
     acc = CountMatrix((2020,), ((5,), (4,)) * 6, "accepted")
-    with pytest.raises(DataError, match=r"^t1_submitted, column 2020: degenerate sample"):
-        build_bundle(sub, acc)
+    for options in (AnalysisOptions(), AnalysisOptions(z_sigma=5e-324, z_null=0.08)):
+        with pytest.raises(DataError, match=r"^t1_submitted, column 2020: degenerate sample"):
+            build_bundle(sub, acc, options)
+
+
+def _bits(rows):
+    return [(label, value.hex()) for label, value in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda years: st.lists(
+           st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=12 * years,
+           max_size=12 * years)),
+       st.sampled_from([0.0, 0.0833333, 0.5]),
+       st.none() | st.sampled_from([(0.0833333, 0.03), (0.2, 1.0), (0.0, 1e-300)]))
+def test_tested_footers_equal_separate_calls(cells, t_null, z):
+    # zero-submission months leave None in the t3 columns
+    years = tuple(range(2001, 2001 + len(cells) // 12))
+    sub = tuple(tuple(max(s, a) for s, a in cells[m::12]) for m in range(12))
+    acc = tuple(tuple(a for _, a in cells[m::12]) for m in range(12))
+    z_null, z_sigma = z if z is not None else (None, None)
+    options = AnalysisOptions(t_null=t_null, z_null=z_null, z_sigma=z_sigma)
+    try:
+        bundle = build_bundle(CountMatrix(years, sub, "submitted"),
+                              CountMatrix(years, acc, "accepted"), options)
+    except DataError:
+        assume(False)  # an empty year or a constant column
+    for table, footers in (("submitted", bundle.submitted_footers),
+                           ("accepted", bundle.accepted_footers),
+                           ("conditional", bundle.conditional_footers)):
+        for col, rows in zip(report._columns(getattr(bundle, table)), footers):
+            t = t_one_sample(col, t_null)
+            expected = [("t", t.statistic), ("t_p", t.p_value)]
+            if z is not None:
+                zr = z_one_sample(col, z_null, z_sigma)
+                expected += [("z", zr.statistic), ("z_p", zr.p_value)]
+            stats = describe(col)
+            expected += [("mean", stats.mean), ("std_dev", stats.std_dev),
+                         ("mean_minus_2sd", stats.band_low), ("mean_plus_2sd", stats.band_high)]
+            assert _bits(rows[-len(expected):]) == _bits(expected)
 
 
 def test_empty_bundle_rejected(jscs_bundle):

@@ -13,6 +13,7 @@ from seasonstats.stats import (
     _stdev,
     chi_square_uniform,
     describe,
+    footer_statistics,
     t_cdf,
     t_one_sample,
     z_one_sample,
@@ -118,6 +119,68 @@ def test_overflowing_values_refused():
     assert z_one_sample([0.08] * 12, 0.08, 5e-324).statistic == 0.0
     assert z_one_sample([1e-320] * 12, 0.0, 5e-324).statistic == pytest.approx(
         2024 * math.sqrt(12), rel=1e-3)
+
+
+def _outcome(call):
+    """A call's result with each float as its hex text (so -0.0 and 0.0
+    differ), or its error type and message."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v for v in result)
+
+
+_FOOTER_VALUES = st.one_of(
+    st.none(),
+    st.floats(-1.0, 1.0),
+    st.floats(allow_nan=False, allow_infinity=False),  # huge and subnormal values
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 8e307, -8e307, 1.7e308]),
+)
+
+
+@given(st.lists(_FOOTER_VALUES, max_size=12), st.floats(-2.0, 2.0),
+       st.none() | st.tuples(st.floats(-2.0, 2.0), st.sampled_from([1e-320, 5e-324, 0.03, 1.0])))
+@example([0.1] * 12, 0.08, (0.08, 0.03))  # constant: the t test refuses
+@example([8e307, -8e307], 0.08, (0.08, 5e-324))  # z overflow before the band's
+@example([None, 0.25, None, 0.5], 0.0833333, None)
+def test_footer_statistics_equal_separate_calls(x, t_null, z):
+    z_null, z_sigma = z if z is not None else (None, None)
+    calls = [lambda: t_one_sample(x, t_null), lambda: describe(x)]
+    if z is not None:
+        calls.insert(1, lambda: z_one_sample(x, z_null, z_sigma))
+    expected = [_outcome(call) for call in calls]
+    first_error = next((o for o in expected if isinstance(o[0], type)), None)
+    try:
+        t, z_result, band = footer_statistics(x, t_null, z_null, z_sigma)
+    except ValueError as exc:
+        # the first error of the separate calls, in t, z, band order
+        assert (type(exc), str(exc)) == first_error
+        return
+    assert first_error is None
+    got = [_outcome(lambda: t), _outcome(lambda: band)]
+    if z is not None:
+        got.insert(1, _outcome(lambda: z_result))
+    else:
+        assert z_result is None
+    assert got == expected
+
+
+def test_footer_statistics_error_precedence():
+    # a constant column: the t test's error, although z and the band are defined
+    with pytest.raises(ValueError, match="^degenerate sample: zero standard deviation$"):
+        footer_statistics([0.1] * 12, 0.08, 0.08, 0.03)
+    # twice the standard deviation overflows and the subnormal sigma makes z
+    # infinite: the z message comes before the band's
+    huge = [1e308, -1e308] * 6
+    with pytest.raises(ValueError, match=r"^mean \+/- 2 sd band overflows"):
+        describe(huge)
+    with pytest.raises(ValueError, match="^z statistic overflows the float range$"):
+        footer_statistics(huge, 0.08, 0.08, 5e-324)
+    with pytest.raises(ValueError, match=r"^mean \+/- 2 sd band overflows"):
+        footer_statistics(huge, 0.08, 0.08, 0.03)
+    with pytest.raises(ValueError, match="^sigma must be positive$"):
+        footer_statistics([0.1, 0.2], 0.08, 0.08, 0.0)
 
 
 def test_chi_square_reference_values(jscs_matrices, ent_matrices):
