@@ -11,10 +11,11 @@ prime factors of the year count, so the cost is O(T x sum of those primes)
 instead of the O(T^2) of the direct sum. A prime length is the direct sum,
 done as the same level over its single samples. Each level adds its
 twiddled sub-transforms to all output bins at once, one list
-comprehension per sub-transform, in the order of the plain per-bin sum;
-every term but the unrotated first is a product with a table entry, so a
-transform of zeros stays exactly zero: an impulse gives exactly equal
-magnitudes, and the tie rule of `top_peaks` sees exact ties.
+comprehension per sub-transform, in the order of the plain per-bin sum,
+so the magnitudes equal that form's bit for bit. Every term is a sample
+or a product with a table entry, so a transform of zeros stays exactly
+zero: an impulse gives exactly equal magnitudes, and the tie rule of
+`top_peaks` sees exact ties.
 """
 from __future__ import annotations
 
