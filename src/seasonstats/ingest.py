@@ -213,8 +213,8 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
     """Build the (submitted, accepted) pair for one journal from counts rows.
 
     `years` defaults to every year from the journal's first row to its last;
-    given years must be contiguous. Each must be present as a complete 12-month block; a month with no
-    events must be an explicit zero row.
+    given years must be contiguous. Each must be present as a complete
+    12-month block; a month with no events must be an explicit zero row.
     """
     mine = [r for r in rows if r[0] == journal]
     if not mine:

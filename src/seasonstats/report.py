@@ -293,10 +293,10 @@ def _fmt(value, places):
 def _json_number(text: str) -> str:
     """repr(float(text)) for the fixed-point text of format_number.
 
-    Text of at most 16 characters has at most 15 significant digits and an
-    integer part below 10**15, so the float it reads as gives back the same
-    digits, and float.__repr__ writes them in fixed point from 1e-4 on:
-    only the trailing zeros go. Other text takes the round trip.
+    Stripped of its trailing zeros, text of at most 16 characters has at
+    most 15 significant digits and an integer part below 10**15, so the
+    float it reads as gives back the same digits, and float.__repr__ writes
+    them in fixed point from 1e-4 on. Other text takes the round trip.
     """
     short = text.rstrip("0")
     if len(short) > 16 or short.startswith(("0.0000", "-0.0000")):
