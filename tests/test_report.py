@@ -430,9 +430,9 @@ _JSON_NUMBER_INPUTS = st.one_of(
 @example(0.0001, 4)
 @example(1e16, 5)
 @example(2.5e17, 3)
-@example(999999999999999.9, 1)  # rounds up to 1e15
+@example(999999999999999.9, 1)  # 16 significant digits
 @example(123456789012.34567, 5)  # 17 significant digits
-@example(1234567890123.0, 3)  # 16 significant digits, trailing zeros
+@example(1234567890123.0, 3)  # a whole number: 1234567890123.000
 @example(-12345678901234.5, 1)
 def test_json_number_is_repr_of_rounded_text(x, places):
     # JSON numbers are the rounded CSV/Markdown text in float.__repr__ form
