@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on validation problems (arguments or data),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
@@ -85,9 +86,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser `main` uses, built on the first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports often start with
