@@ -7,6 +7,8 @@ months with no defined value; such entries are skipped.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Sequence
 
 Vector = Sequence["float | None"]
@@ -33,10 +35,12 @@ def _defined(p: Vector) -> list[float]:
     return out
 
 # The _-prefixed kernels take the list `_defined` returns. Each sums a
-# built list left to right, in the order the index's formula is written.
+# built list left to right from 0, in the order the index's formula is
+# written: reduce(add, ..., 0), as builtin sum compensates float sums from
+# Python 3.12 on and would make the last bits depend on the version.
 
 def _entropy(values: list) -> float:
-    return sum([-v * math.log(v) for v in values if v > 0.0])
+    return reduce(add, [-v * math.log(v) for v in values if v > 0.0], 0)
 
 def entropy(p: Vector) -> float:
     """Shannon entropy sum(-p ln p) with 0 ln 0 = 0.
@@ -82,7 +86,7 @@ def _diversity(values: list, q: float, h: "float | None" = None) -> float:
         return math.exp(_entropy(values) if h is None else h)
     if q == math.inf:
         return 1.0 / p_max
-    total = sum([(v / p_max) ** q for v in values if v > 0.0])
+    total = reduce(add, [(v / p_max) ** q for v in values if v > 0.0], 0)
     try:
         # the two factors are taken as one exponential: near q = 1 one of
         # them underflows while the other overflows
@@ -107,7 +111,7 @@ def theil(p: Vector) -> float:
     return math.log(len(values)) - _entropy(values)
 
 def _hhi(values: list) -> float:
-    return sum([v * v for v in values])
+    return reduce(add, [v * v for v in values], 0)
 
 def hhi(p: Vector) -> float:
     """Herfindahl-Hirschman concentration: sum of squared shares."""
@@ -120,7 +124,7 @@ def lorenz(z: Vector) -> list:
     values.
     """
     values = sorted(_defined(z))
-    total = sum(values)
+    total = reduce(add, values, 0)
     if total <= 0:
         raise ValueError("all entries are zero")
     n = len(values)
@@ -141,11 +145,11 @@ def gini(z: Vector) -> float:
     return _gini(_defined(z))
 
 def _gini(values: list) -> float:
-    total = sum(values)
+    total = reduce(add, values, 0)
     if total <= 0:
         raise ValueError("all entries are zero")
     n = len(values)
-    abs_diff = sum([abs(a - b) for a in values for b in values])
+    abs_diff = reduce(add, [abs(a - b) for a in values for b in values], 0)
     return abs_diff / (2.0 * n * total)
 
 def index_summary(p: Vector, q_orders: Sequence[float],

@@ -22,7 +22,7 @@ import csv
 import io
 import math
 import operator
-from functools import partial
+from functools import partial, reduce
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -199,7 +199,8 @@ def _tested_rows(col, options) -> list:
     return rows + _band_rows(stats)
 
 def _defined_sum(col) -> float:
-    return sum(v for v in col if v is not None)
+    # a left fold from 0: builtin sum compensates float sums from Python 3.12 on
+    return reduce(operator.add, [v for v in col if v is not None], 0)
 
 def _share_footer(col, counts, options) -> list:
     return [*_test_rows("chi_square", chi_square_uniform(counts)),

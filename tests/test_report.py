@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from seasonstats import report
+from seasonstats.indices import diversity, entropy, gini, hhi, lorenz
 from seasonstats.ingest import CountMatrix, DataError, matrices_from_counts, parse_counts
 from seasonstats.report import (
     DOCUMENT_NAMES,
@@ -24,7 +25,8 @@ from seasonstats.report import (
     quote_half_down,
     render,
 )
-from seasonstats.stats import describe, t_one_sample, z_one_sample
+from seasonstats.probability import normalize
+from seasonstats.stats import chi_square_uniform, describe, t_one_sample, z_one_sample
 
 import refvalues as rv
 
@@ -350,6 +352,38 @@ def test_footer_errors_name_table_and_column():
 
 def _bits(rows):
     return [(label, value.hex()) for label, value in rows]
+
+
+def _fold(terms):
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def test_float_sums_are_left_folds():
+    # builtin sum compensates float sums from Python 3.12 on, where
+    # sum([1e16, 1.0, -1e16]) is 1.0 and not 0.0; every sum behind the
+    # documents adds left to right from 0, so their bytes do not depend on
+    # the version. Each case tells that fold from the exactly rounded sum.
+    assert report._defined_sum([1e16, None, 1.0, -1e16]) == 0.0
+    assert normalize([1e16, 1.0, 1.0]) == (1.0, 1e-16, 1e-16)
+    assert hhi([1e8, 1.0, 1.0]) == 1e16 != math.fsum([1e16, 1.0, 1.0])
+    p = [0.4, 0.9, 0.3, 0.6]
+    terms = [-v * math.log(v) for v in p]
+    assert entropy(p) == _fold(terms) != math.fsum(terms)
+    p = [0.3, 0.8, 0.3, 0.3]
+    terms = [(v / 0.8) ** 2 for v in p]
+    hill = [math.exp((2.0 * math.log(0.8) + math.log(total)) / -1.0)
+            for total in (_fold(terms), math.fsum(terms))]
+    assert diversity(p, 2.0) == hill[0] != hill[1]
+    p = [0.9, 0.7, 0.4, 0.6]
+    diffs = [abs(a - b) for a in p for b in p]
+    assert gini(p) == _fold(diffs) / (2.0 * 4 * _fold(p)) != math.fsum(diffs) / (8.0 * math.fsum(p))
+    assert lorenz([0.3, 0.1, 0.2])[1] == (1 / 3, 0.1 / _fold([0.1, 0.2, 0.3])) != (1 / 3, 0.1 / 0.6)
+    expected = 17 / 4
+    terms = [(o - expected) ** 2 / expected for o in (1, 3, 9, 4)]
+    assert chi_square_uniform([1, 3, 9, 4]).statistic == _fold(terms) != math.fsum(terms)
 
 
 @settings(max_examples=60, deadline=None)
