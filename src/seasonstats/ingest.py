@@ -7,6 +7,7 @@ journal, year, month).
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from datetime import MAXYEAR, MINYEAR, date
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,6 +109,16 @@ def _year_span(present: Iterable[int], years: "Sequence[int] | None") -> tuple:
     return years
 
 
+@contextmanager
+def _reader_errors(reader):
+    """A csv reader error (a field longer than csv.field_size_limit(), a NUL
+    byte before Python 3.11) as a DataError at the reader's line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+
+
 def parse_events(stream: Iterable[str], journal: str) -> list:
     """Parse event-level CSV with header journal,submitted_at,decision.
 
@@ -117,40 +128,41 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
     per parse.
     """
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input, expected a header row") from None
-    if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
-        raise DataError(f"expected header {','.join(EVENT_HEADER)} at line 1")
-    dates = {}
-    decisions = {}
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
-        raw_journal, raw_date, raw_decision = row
-        submitted_at = dates.get(raw_date)
-        if submitted_at is None:
-            field = raw_date.strip()
-            try:
-                # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
-                if len(field) != 10 or field[4] != "-" or field[7] != "-":
-                    raise ValueError("expected YYYY-MM-DD")
-                submitted_at = dates[raw_date] = date.fromisoformat(field)
-            except ValueError as exc:
-                raise DataError(f"invalid date {field!r} at line {lineno}: {exc}") from None
-        decision = decisions.get(raw_decision)
-        if decision is None:
-            field = raw_decision.strip()
-            decision = field.lower()
-            if decision not in DECISIONS:
-                raise DataError(f"unknown decision {field!r} at line {lineno}")
-            decisions[raw_decision] = decision
-        if raw_journal.strip() == journal:
-            records.append(EventRecord(submitted_at, decision))
+    with _reader_errors(reader):
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty input, expected a header row") from None
+        if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
+            raise DataError(f"expected header {','.join(EVENT_HEADER)} at line 1")
+        dates = {}
+        decisions = {}
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
+            raw_journal, raw_date, raw_decision = row
+            submitted_at = dates.get(raw_date)
+            if submitted_at is None:
+                field = raw_date.strip()
+                try:
+                    # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
+                    if len(field) != 10 or field[4] != "-" or field[7] != "-":
+                        raise ValueError("expected YYYY-MM-DD")
+                    submitted_at = dates[raw_date] = date.fromisoformat(field)
+                except ValueError as exc:
+                    raise DataError(f"invalid date {field!r} at line {lineno}: {exc}") from None
+            decision = decisions.get(raw_decision)
+            if decision is None:
+                field = raw_decision.strip()
+                decision = field.lower()
+                if decision not in DECISIONS:
+                    raise DataError(f"unknown decision {field!r} at line {lineno}")
+                decisions[raw_decision] = decision
+            if raw_journal.strip() == journal:
+                records.append(EventRecord(submitted_at, decision))
     return records
 
 
@@ -179,32 +191,33 @@ def aggregate(events: Sequence[EventRecord], years: "Sequence[int] | None" = Non
 def parse_counts(stream: Iterable[str]) -> list:
     """Parse counts CSV with header journal,year,month,submitted,accepted."""
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input, expected a header row") from None
-    if tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
-        raise DataError(f"expected header {','.join(COUNTS_HEADER)} at line 1")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise DataError(f"expected 5 columns at line {lineno}, got {len(row)}")
-        journal = row[0].strip()
+    with _reader_errors(reader):
         try:
-            year, month, submitted, accepted = (int(v) for v in row[1:])
-        except ValueError:
-            raise DataError(f"non-integer count field at line {lineno}") from None
-        if not MINYEAR <= year <= MAXYEAR:
-            raise DataError(f"year out of range at line {lineno}")
-        if not 1 <= month <= 12:
-            raise DataError(f"month out of range at line {lineno}")
-        if submitted < 0 or accepted < 0:
-            raise DataError(f"negative count at line {lineno}")
-        if accepted > submitted:
-            raise DataError(f"accepted exceeds submitted at line {lineno}")
-        rows.append((journal, year, month, submitted, accepted))
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty input, expected a header row") from None
+        if tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
+            raise DataError(f"expected header {','.join(COUNTS_HEADER)} at line 1")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise DataError(f"expected 5 columns at line {lineno}, got {len(row)}")
+            journal = row[0].strip()
+            try:
+                year, month, submitted, accepted = (int(v) for v in row[1:])
+            except ValueError:
+                raise DataError(f"non-integer count field at line {lineno}") from None
+            if not MINYEAR <= year <= MAXYEAR:
+                raise DataError(f"year out of range at line {lineno}")
+            if not 1 <= month <= 12:
+                raise DataError(f"month out of range at line {lineno}")
+            if submitted < 0 or accepted < 0:
+                raise DataError(f"negative count at line {lineno}")
+            if accepted > submitted:
+                raise DataError(f"accepted exceeds submitted at line {lineno}")
+            rows.append((journal, year, month, submitted, accepted))
     return rows
 
 

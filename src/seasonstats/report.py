@@ -443,7 +443,11 @@ def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
 
 
 def render(bundle: AnalysisBundle, format: str) -> list:
-    """Render the six documents in the requested format at the bundle's precision."""
+    """Render the six documents in the requested format at the bundle's precision.
+
+    A value that needs more than the 28 significant digits of format_number's
+    Decimal fallback at that precision raises DataError naming its document.
+    """
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}, expected one of {', '.join(FORMATS)}")
     if not bundle.years or not bundle.column_labels:
@@ -452,13 +456,18 @@ def render(bundle: AnalysisBundle, format: str) -> list:
 
     documents = []
     for name, layout in _layouts(bundle).items():
-        if format == "json":
-            body = {"name": encode_basestring_ascii(name),
-                    "journal": encode_basestring_ascii(bundle.journal),
-                    "years": list(bundle.years), "precision": places}
-            body.update(_NESTERS[layout.keys](layout, places))
-            text = _json_text(body, scalars=_WRITTEN_LEAVES) + "\n"
-        else:
-            text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
+        try:
+            if format == "json":
+                body = {"name": encode_basestring_ascii(name),
+                        "journal": encode_basestring_ascii(bundle.journal),
+                        "years": list(bundle.years), "precision": places}
+                body.update(_NESTERS[layout.keys](layout, places))
+                text = _json_text(body, scalars=_WRITTEN_LEAVES) + "\n"
+            else:
+                text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
+        except InvalidOperation:
+            # format_number's Decimal fallback holds 28 significant digits
+            raise DataError(f"{name}: a value needs more than 28 significant digits "
+                            f"at precision {places}") from None
         documents.append(NamedDocument(name, text))
     return documents

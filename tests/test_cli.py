@@ -318,6 +318,54 @@ def test_non_utf8_input_exits_1(tmp_path, capsys):
     assert "analyze: input is not UTF-8 text:" in capsys.readouterr().err
 
 
+_SHAPES = {
+    "events": ("journal,submitted_at,decision", "JSCS,2012-01-05,accepted"),
+    "counts": ("journal,year,month,submitted,accepted", "JSCS,2012,1,5,3"),
+}
+
+
+@pytest.mark.parametrize("input_format", sorted(_SHAPES))
+@pytest.mark.parametrize("problem", ["long header field", "long field", "NUL byte"])
+def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
+    # a field past csv.field_size_limit() and, before Python 3.11, a NUL byte
+    # stop the csv reader itself; either way the run ends in a message
+    header, row = _SHAPES[input_format]
+    long_field = "x" * (csv.field_size_limit() + 1)
+    lines = {"long header field": [long_field + header, row],
+             "long field": [header, row, long_field + row],
+             "NUL byte": [header, row, row.replace("5", "\0", 1)]}[problem]
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run([sys.executable, "-m", "seasonstats", "--input", str(path),
+                             "--format", input_format, "--journal", "JSCS",
+                             "--out", str(tmp_path / "x")],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("analyze: ")
+    if problem != "NUL byte":
+        line = 1 if problem == "long header field" else 3
+        assert result.stderr == (f"analyze: unreadable CSV at line {line}: field larger "
+                                 f"than field limit ({csv.field_size_limit()})\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("emit", ["csv", "json"])
+@pytest.mark.parametrize("flags", [["--t-null", "1e25"],
+                                   ["--z-sigma", "1e-30", "--z-null", "0.08"]])
+def test_footer_value_past_28_digits_exits_1(tmp_path, capsys, emit, flags):
+    # the t (or z) statistic is about 1e26 (1e28), which has more digits than
+    # the rounding to the precision keeps
+    code = _run(["--input", DATA_DIR / "journal_counts.csv", "--format", "counts",
+                 "--journal", "JSCS", "--emit", emit, "--out", tmp_path / "x", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "analyze: t1_submitted: a value needs more than 28 significant digits at precision 5\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_unwritable_out_exits_2(counts_csv, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
