@@ -19,10 +19,11 @@ magnitudes, and the tie rule of `top_peaks` sees exact ties.
 
 The tables a length needs (the sample order and each level's rotations)
 do not depend on the series, so they are built once per length and kept
-for the last few lengths used (`_plan`). They take O(T + p^2) references
-for p the largest prime factor, plus up to `_STORED_LIMIT` per level for
-the rotations kept in the layout the level reads them in: about 0.2 MB at
-T = 240 and 2.3 MB at T = 12 x 499.
+for the last eight lengths used (`_plan`). A level of radix p and length
+n keeps (p - 1) n rotation factors, or (p - 1) T when those fit in
+`_STORED_LIMIT` references and are stored repeated in the order the level
+reads them: about 30 kB in all at T = 240 and 2.6 MB at T = 12 x 499,
+where the radix-499 level holds 498 x 499.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from seasonstats import spectral
 from seasonstats.cli import main
 from seasonstats.indices import diversity, entropy, exponential_entropy, gini, hhi, monthly_entropy_terms, theil
 from seasonstats.probability import conditional, shares
@@ -305,6 +306,25 @@ def test_criterion_9_cli_golden_diff(tmp_path, subdir, emit):
         produced = (tmp_path / golden_file.name).read_text(encoding="utf-8")
         assert produced == golden_file.read_text(encoding="utf-8"), golden_file.name
     _verdict(9, True, f"{subdir} {emit} documents diff clean against the committed golden files")
+
+
+def test_goldens_twice_in_one_process(tmp_path, capsys):
+    # main reuses one parser and the FFT keeps its tables per length; neither
+    # carries anything from one analysis into the next
+    spectral._plan.cache_clear()
+    for rep in range(2):
+        for subdir, (input_name, journal, extra) in sorted(rv.GOLDEN_RUNS.items()):
+            for emit in FORMATS:
+                out = tmp_path / f"{rep}-{subdir}-{emit}"
+                code = main(["--input", str(DATA_DIR / input_name), "--format", "counts",
+                             "--journal", journal, "--emit", emit, "--out", str(out), *extra])
+                assert code == 0
+                goldens = sorted((GOLDEN / subdir).glob(f"*.{emit}"))
+                assert sorted(p.name for p in out.iterdir()) == [g.name for g in goldens]
+                for golden_file in goldens:
+                    assert (out / golden_file.name).read_bytes() == golden_file.read_bytes(), \
+                        (rep, golden_file)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("subdir", ["entropy", "jscs"])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seasonstats.spectral import _smallest_factor, dft_magnitudes, top_peaks
+from seasonstats import spectral
+from seasonstats.spectral import _repeat_each, _smallest_factor, dft_magnitudes, top_peaks
 
 import refvalues as rv
 
@@ -71,6 +72,40 @@ def test_magnitudes_equal_per_bin_sum_reference(T):
         series.append(impulse)
     for x in series:
         assert dft_magnitudes(x) == _reference_magnitudes(x)
+
+
+def _random_series(T):
+    rng = np.random.default_rng(T)
+    return [list(rng.integers(0, 500, T)), list(rng.uniform(-1e3, 1e3, T))]
+
+
+def test_tables_kept_per_length_give_reference_magnitudes():
+    # each length's first transform builds its tables, later ones reuse them;
+    # 948 = 12 x 79 repeats its radix-79 rotations on every transform
+    spectral._plan.cache_clear()
+    for T in (240, 36, 241, 240, 120, 948, 36, 241, 120, 948):
+        for x in _random_series(T):
+            assert dft_magnitudes(x) == _reference_magnitudes(x)
+    assert spectral._plan.cache_info().misses == 5  # one build per length
+
+
+@pytest.mark.parametrize("T", [2, 12, 36, 240, 241, 256])
+def test_rotations_repeated_per_transform_give_reference_magnitudes(T, monkeypatch):
+    # with no rotations stored repeated, every level repeats its own; 256 is
+    # 2^8, whose lower levels have more sub-transforms than bins
+    monkeypatch.setattr(spectral, "_STORED_LIMIT", 0)
+    spectral._plan.cache_clear()
+    try:
+        for x in _random_series(T):
+            assert dft_magnitudes(x) == _reference_magnitudes(x)
+    finally:
+        spectral._plan.cache_clear()
+
+
+@pytest.mark.parametrize("times", [1, 2, 3, 7])
+def test_repeat_each(times):
+    values = (1, 2, 3)
+    assert _repeat_each(values, times) == [v for v in values for _ in range(times)]
 
 
 def test_pure_tone_peak():
