@@ -64,12 +64,8 @@ def _smallest_factor(n: int) -> int:
 def _repeat_each(values: Sequence, times: int) -> list:
     """values with each entry repeated `times` times in a row."""
     out = [None] * (len(values) * times)
-    if times <= len(values):
-        for j in range(times):
-            out[j::times] = values
-    else:
-        for k, v in enumerate(values):
-            out[k * times:(k + 1) * times] = [v] * times
+    for j in range(times):
+        out[j::times] = values
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seasonstats import spectral
-from seasonstats.spectral import _repeat_each, _smallest_factor, dft_magnitudes, top_peaks
+from seasonstats.spectral import _smallest_factor, dft_magnitudes, top_peaks
 
 import refvalues as rv
 
@@ -91,8 +91,8 @@ def test_tables_kept_per_length_give_reference_magnitudes():
 
 @pytest.mark.parametrize("T", [2, 12, 36, 240, 241, 256])
 def test_rotations_repeated_per_transform_give_reference_magnitudes(T, monkeypatch):
-    # with no rotations stored repeated, every level repeats its own; 256 is
-    # 2^8, whose lower levels have more sub-transforms than bins
+    # with no rotations stored repeated, every level repeats its own on each
+    # transform, as the large-radix levels of long series do
     monkeypatch.setattr(spectral, "_STORED_LIMIT", 0)
     spectral._plan.cache_clear()
     try:
@@ -100,12 +100,6 @@ def test_rotations_repeated_per_transform_give_reference_magnitudes(T, monkeypat
             assert dft_magnitudes(x) == _reference_magnitudes(x)
     finally:
         spectral._plan.cache_clear()
-
-
-@pytest.mark.parametrize("times", [1, 2, 3, 7])
-def test_repeat_each(times):
-    values = (1, 2, 3)
-    assert _repeat_each(values, times) == [v for v in values for _ in range(times)]
 
 
 def test_pure_tone_peak():
