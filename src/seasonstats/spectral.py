@@ -17,13 +17,13 @@ bins 0 .. T/2. Every term is a sample or a product with a table entry, so
 a transform of zeros stays exactly zero: an impulse gives exactly equal
 magnitudes, and the tie rule of `top_peaks` sees exact ties.
 
-The tables a length needs (the sample order and each level's rotations)
-do not depend on the series, so they are built once per length and kept
-for the last eight lengths used (`_plan`). A level of radix p and length
-n keeps (p - 1) n rotation factors, or (p - 1) T when those fit in
-`_STORED_LIMIT` references and are stored repeated in the order the level
-reads them: about 30 kB in all at T = 240 and 2.6 MB at T = 12 x 499,
-where the radix-499 level holds 498 x 499.
+The tables a length needs (the roots of unity, the sample order and the
+levels' rotations) do not depend on the series, so they are built once
+per length and kept for the last eight lengths used (`_plan`). A level of
+radix p keeps its rotations, (p - 1) T references, when that is at most
+`_STORED_LIMIT`; a level with more, such as the radix-499 level of
+T = 12 x 499, builds them from the roots on each transform. So a length
+keeps O(T) memory whatever its factors: about 30 kB at T = 240.
 """
 from __future__ import annotations
 
@@ -33,9 +33,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-# a level's rotations are stored repeated to length T (one reference per
-# bin and sub-transform) when that takes at most this many references;
-# longer ones are stored per bin and repeated on each transform
+# a level keeps its rotations, one reference per bin of each transform it
+# produces, when that takes at most this many references (512 KiB)
 _STORED_LIMIT = 1 << 16
 
 
@@ -48,8 +47,9 @@ class SpectralPeak(NamedTuple):
 class _Level(NamedTuple):
     radix: int  # p: the level combines p sub-transforms into each of its own
     blocks: int  # S: the number of transforms the level produces
-    rotations: tuple  # for r = 1 .. p-1, the factors of sub-transform r, by position
-    stored: bool  # rotations already hold one entry per position, not per bin
+    length: int  # n = T / S, the length of each
+    bins: int  # the bins computed of each: n, or 0 .. T/2 at the top
+    rotations: "tuple | None"  # _rotation for r = 1 .. p-1, or None if not kept
 
 
 def _smallest_factor(n: int) -> int:
@@ -69,9 +69,16 @@ def _repeat_each(values: Sequence, times: int) -> list:
     return out
 
 
+def _rotation(twiddle: list, r: int, level: _Level) -> list:
+    """The factor of sub-transform r at each position of the level's array:
+    exp(-2 pi i r k / n) = twiddle[(r k mod n) S] for bin k, S times in a row."""
+    n, blocks = level.length, level.blocks
+    return _repeat_each([twiddle[r * k % n * blocks] for k in range(level.bins)], blocks)
+
+
 @lru_cache(maxsize=8)
 def _plan(T: int) -> tuple:
-    """(sample order, levels from the bottom up) of a length-T transform.
+    """(sample order, roots of unity, levels from the bottom up) of a length-T transform.
 
     With p_1, p_2, ... the prime factors of T, smallest first, the level
     of radix p_l turns S_l = p_1 ... p_(l-1) transforms of length n = T/S_l
@@ -96,17 +103,15 @@ def _plan(T: int) -> tuple:
     levels = []
     blocks, n = 1, T
     for p in factors:
-        # exp(-2 pi i r k / n) = twiddle[(r k mod n) S]; the top level needs bins 0 .. T/2 only
-        bins = T // 2 + 1 if blocks == 1 else n
-        stored = blocks == 1 or (p - 1) * T <= _STORED_LIMIT
-        rotations = []
-        for r in range(1, p):
-            rotation = [twiddle[r * k % n * blocks] for k in range(bins)]
-            rotations.append(tuple(_repeat_each(rotation, blocks) if stored else rotation))
-        levels.append(_Level(p, blocks, tuple(rotations), stored))
+        # the top level needs bins 0 .. T/2 only
+        level = _Level(p, blocks, n, T // 2 + 1 if blocks == 1 else n, None)
+        if (p - 1) * T <= _STORED_LIMIT:
+            level = level._replace(rotations=tuple(tuple(_rotation(twiddle, r, level))
+                                                   for r in range(1, p)))
+        levels.append(level)
         blocks *= p
         n //= p
-    return itemgetter(*order), tuple(reversed(levels))
+    return itemgetter(*order), twiddle, tuple(reversed(levels))
 
 
 def dft_magnitudes(x: Sequence[float]) -> tuple:
@@ -119,17 +124,17 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
     T = len(series)
     if T < 2:
         raise ValueError("need at least 2 samples")
-    order, levels = _plan(T)
+    order, twiddle, levels = _plan(T)
     out = order(series)
-    for p, blocks, rotations, stored in levels:
-        lower = out
+    for level in levels:
+        p, lower = level.radix, out
         # the r = 0 term is taken as it is: its factor is 1, and multiplying
         # by that or adding it to 0 could change only the sign of a zero,
         # which no magnitude sees
         out = lower[0::p] * p
-        for r, rotation in enumerate(rotations, 1):
-            if not stored:
-                rotation = _repeat_each(rotation, blocks)
+        for r in range(1, p):
+            rotation = (_rotation(twiddle, r, level) if level.rotations is None
+                        else level.rotations[r - 1])
             out = [o + y * c for o, y, c in zip(out, lower[r::p] * p, rotation)]
     return tuple([(k / T, abs(out[k])) for k in range(1, T // 2 + 1)])
 
