@@ -68,19 +68,25 @@ _FAST_ROUNDING = {places: (2.0 ** (53 - (10 ** (places + 1)).bit_length()),
                            f"%.{places}f", f"%.{places + 1}f")
                   for places in range(1, 13)}
 
-def _fast_text(x: float, places: int) -> "str | None":
-    """x correctly rounded to `places` decimals, or None where that may differ
-    from rounding repr(x): a tie, a large or non-finite x, or unlisted places."""
-    entry = _FAST_ROUNDING.get(places)
-    if entry is None:
-        return None
-    bound, text, probe = entry
-    if not -bound < x < bound:
-        return None
-    probe %= x
-    if probe[-1] == "5" and float(probe) == x:
-        return None
-    return text % x
+def _rounded(values, places: int, rounding: str) -> list:
+    """Each value's repr rounded to `places` decimals by `rounding` (ROUND_HALF_UP
+    or ROUND_HALF_DOWN), as fixed-point text; None stays None.
+
+    Below the bound of `places`, except at a repr tie, the binary float is
+    rounded with the format; otherwise the repr is rounded in Decimal, which
+    raises InvalidOperation for a non-finite value or one past 28 digits.
+    """
+    bound, text, probe = _FAST_ROUNDING.get(places, (0.0, "", ""))
+    out = []
+    for x in values:
+        if x is None:
+            out.append(None)
+        elif -bound < x < bound and ((tail := probe % x)[-1] != "5" or float(tail) != x):
+            out.append(text % x)
+        else:
+            # "f": str() would write values below 1e-6 as 0E-7, 3E-7
+            out.append(format(_quantize(x, places, rounding), "f"))
+    return out
 
 def quote_half_down(x: float, places: int) -> float:
     """Round repr(x) to `places` decimals, halves toward zero.
@@ -90,18 +96,11 @@ def quote_half_down(x: float, places: int) -> float:
     inputs with the same rule; rendered output keeps the
     half-away-from-zero convention.
     """
-    text = _fast_text(x, places)
-    if text is None:
-        return float(_quantize(x, places, ROUND_HALF_DOWN))
-    return float(text)
+    return float(_rounded((x,), places, ROUND_HALF_DOWN)[0])
 
 def format_number(x: float, places: int) -> str:
     """repr(x) rounded to `places` decimals, halves away from zero, as fixed-point text."""
-    text = _fast_text(x, places)
-    if text is None:
-        # "f": str() would write values below 1e-6 as 0E-7, 3E-7
-        return format(_quantize(x, places, ROUND_HALF_UP), "f")
-    return text
+    return _rounded((x,), places, ROUND_HALF_UP)[0]
 
 
 def _diversity_label(q) -> str:
@@ -216,8 +215,8 @@ def _terms_footer(terms) -> list:
 
 def _index_column(vector, options, ratios: bool) -> list:
     places = RATIO_QUOTED_PLACES if ratios else options.precision
-    rounded = tuple(None if v is None else quote_half_down(v, places)
-                    for v in vector)
+    rounded = tuple(None if text is None else float(text)
+                    for text in _rounded(vector, places, ROUND_HALF_DOWN))
     summary = index_summary(normalize(rounded), options.q_orders, rounded if ratios else None)
     return [*zip(map(_diversity_label, options.q_orders), summary.diversities),
             ("exp_entropy", summary.exp_entropy), ("theil", summary.theil),
@@ -286,11 +285,6 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
     )
 
 
-def _fmt(value, places):
-    if value is None:
-        return "NA"
-    return format_number(value, places)
-
 def _json_number(text: str) -> str:
     """repr(float(text)) for the fixed-point text of format_number.
 
@@ -304,11 +298,10 @@ def _json_number(text: str) -> str:
         return repr(float(text))
     return short + "0" if short[-1] == "." else short
 
-def _jnum(value, places):
-    """The JSON text of a value as format_number rounds it, or None."""
-    if value is None:
-        return None
-    return _json_number(format_number(value, places))
+def _json_numbers(values, places) -> list:
+    """The JSON text of each value as format_number rounds it, null for None."""
+    return ["null" if text is None else _json_number(text)
+            for text in _rounded(values, places, ROUND_HALF_UP)]
 
 
 _PEAK_COLUMNS = ("frequency", "period_months", "amplitude")
@@ -369,35 +362,40 @@ def _md_text(header, rows) -> str:
 
 def _grid(layout: _Layout, places):
     header = [*layout.keys, *layout.value_names]
-    rows = [[*map(str, keys), *(_fmt(v, places) for v in values)]
+    rows = [[*map(str, keys), *["NA" if text is None else text
+                                for text in _rounded(values, places, ROUND_HALF_UP)]]
             for keys, values in layout.rows]
     return header, rows
 
 
 def _nest_columns(layout: _Layout, places):
-    def cells(rows, j):
-        return {row: _jnum(values[j], places) for (row,), values in rows}
     months, footers = layout.rows[:MONTHS_PER_YEAR], layout.rows[MONTHS_PER_YEAR:]
     # JSON footers list z and z_p last, after the band rows, where the grids
     # put them after t_p; the JSON bytes are part of the contract
     footers.sort(key=lambda row: row[0][0] in ("z", "z_p"))
-    return {"columns": {label: {"months": cells(months, j), "footer": cells(footers, j)}
-                        for j, label in enumerate(layout.value_names)}}
+    rows = months + footers
+    month_keys, footer_keys = [row for (row,), _ in months], [row for (row,), _ in footers]
+    columns = {}
+    for label, column in zip(layout.value_names, zip(*(values for _, values in rows))):
+        cells = _json_numbers(column, places)
+        columns[label] = {"months": dict(zip(month_keys, cells)),
+                          "footer": dict(zip(footer_keys, cells[MONTHS_PER_YEAR:]))}
+    return {"columns": columns}
 
 def _nest_blocks(layout: _Layout, places):
     blocks = {}
     for (block, index), values in layout.rows:
         columns = blocks.setdefault(
             block, {"columns": {label: {} for label in layout.value_names}})["columns"]
-        for label, v in zip(layout.value_names, values):
-            columns[label][index] = _jnum(v, places)
+        for label, text in zip(layout.value_names, _json_numbers(values, places)):
+            columns[label][index] = text
     return {"blocks": blocks}
 
 def _nest_series(layout: _Layout, places):
     series = {}
     for (name, rank), values in layout.rows:
         entry = {"rank": rank}
-        entry.update((col, _jnum(v, places)) for col, v in zip(layout.value_names, values))
+        entry.update(zip(layout.value_names, _json_numbers(values, places)))
         series.setdefault(name, []).append(entry)
     return {"series": series}
 
@@ -407,8 +405,8 @@ _NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
 # with default arguments json writes these types with these functions
 _JSON_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
                  type(None): lambda _: "null"}
-# render's documents hold every string and number leaf as its JSON text
-# already (numbers from _jnum), which is written as it is
+# render's documents hold every string, number and null leaf as its JSON
+# text already (numbers and nulls from _json_numbers), written as it is
 _WRITTEN_LEAVES = {**_JSON_SCALARS, str: str}
 
 def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:

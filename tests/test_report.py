@@ -14,7 +14,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from seasonstats import report
 from seasonstats.indices import diversity, entropy, gini, hhi, lorenz
-from seasonstats.ingest import CountMatrix, DataError, matrices_from_counts, parse_counts
+from seasonstats.ingest import (
+    MONTHS_PER_YEAR,
+    CountMatrix,
+    DataError,
+    matrices_from_counts,
+    parse_counts,
+)
 from seasonstats.report import (
     DOCUMENT_NAMES,
     FORMATS,
@@ -64,11 +70,14 @@ def reference_format_number(x, places):
 def reference_quote_half_down(x, places):
     return float(_reference_quantize(x, places, ROUND_HALF_DOWN))
 
+def reference_rounded(values, places, rounding):
+    return [None if x is None else format(_reference_quantize(x, places, rounding), "f")
+            for x in values]
+
 
 @st.composite
-def _rounding_cases(draw):
-    """(x, places): raw bit patterns, decimal ties, the fast-path bound, subnormals."""
-    places = draw(st.integers(1, 12))
+def _rounding_values(draw, places):
+    """x for `places`: raw bit patterns, decimal ties, the fast-path bound, subnormals."""
     kind = draw(st.sampled_from(("bits", "tie", "bound", "scaled", "tiny")))
     if kind == "bits":
         x = struct.unpack("<d", struct.pack("<Q", draw(st.integers(0, 2**64 - 1))))[0]
@@ -91,7 +100,12 @@ def _rounding_cases(draw):
         x = draw(st.floats(1e-15, 1e15))
     else:
         x = draw(st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
-    return x * draw(st.sampled_from((1.0, -1.0))), places
+    return x * draw(st.sampled_from((1.0, -1.0)))
+
+def _rounding_cases():
+    """(x, places) with places in 1..12."""
+    return st.integers(1, 12).flatmap(
+        lambda places: st.tuples(_rounding_values(places), st.just(places)))
 
 
 @settings(max_examples=1000)
@@ -120,6 +134,33 @@ def test_rounding_matches_decimal_reference(case):
             assert repr(rounding(x, places)) == repr(expected)
 
 
+_ROUNDINGS = st.sampled_from((ROUND_HALF_UP, ROUND_HALF_DOWN))
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 12).flatmap(lambda places: st.tuples(
+    st.lists(st.none() | _rounding_values(places), max_size=8), st.just(places))), _ROUNDINGS)
+@example(([None, 0.0, -0.0, 5e-324, -5e-324, 2.5, 0.084375, -0.084375, None], 5),
+         ROUND_HALF_UP)
+@example(([0.5312500, 0.46875, -0.46875, 2.5, -2.5, None], 4), ROUND_HALF_DOWN)
+@example(([511.99999999999994, 512.0, -512.0, math.nextafter(512.0, 1024.0)], 12),
+         ROUND_HALF_DOWN)
+@example(([70368744177663.99, 70368744177664.0, 1e15], 1), ROUND_HALF_UP)
+@example(([], 3), ROUND_HALF_UP)
+@example(([0.1, 1e30], 1), ROUND_HALF_UP)
+@example(([1e30, None], 1), ROUND_HALF_DOWN)
+def test_rounded_kernel_matches_decimal_reference_per_value(case, rounding):
+    values, places = case
+    try:
+        expected = [reference_rounded((x,), places, rounding)[0] for x in values]
+    except ArithmeticError as exc:
+        with pytest.raises(ArithmeticError) as raised:
+            report._rounded(values, places, rounding)
+        assert type(raised.value) is type(exc)
+    else:
+        assert report._rounded(values, places, rounding) == expected
+
+
 @pytest.mark.parametrize("name", ["edge", "long"])
 def test_every_precision_renders_as_decimal_reference(name, monkeypatch):
     # precision 12 has the smallest fast-path bound (512), and no golden file
@@ -136,10 +177,23 @@ def test_every_precision_renders_as_decimal_reference(name, monkeypatch):
         return {fmt: render(bundle, fmt) for fmt in FORMATS}
 
     fast = {precision: documents(precision) for precision in range(1, 13)}
-    monkeypatch.setattr(report, "format_number", reference_format_number)
-    monkeypatch.setattr(report, "quote_half_down", reference_quote_half_down)
+    rounded = {}
+
+    def counted_reference(values, places, rounding):
+        texts = reference_rounded(values, places, rounding)
+        rounded[rounding] = rounded.get(rounding, 0) + len(texts)
+        return texts
+
+    monkeypatch.setattr(report, "_rounded", counted_reference)
+    # each of the three index blocks quotes 12 inputs per column
+    index_inputs = 3 * MONTHS_PER_YEAR * (len(matrices[0].years) + 1)
     for precision, rendered in fast.items():
+        rounded.clear()
         assert documents(precision) == rendered, precision
+        cells = sum(len(_csv_cells(doc.text)) for doc in rendered["csv"])
+        # the reference wrote every cell of the three formats and quoted every index input
+        assert rounded == {ROUND_HALF_UP: len(FORMATS) * cells,
+                           ROUND_HALF_DOWN: index_inputs}, precision
 
 
 def test_options_validation():
@@ -471,7 +525,8 @@ _JSON_NUMBER_INPUTS = st.one_of(
 def test_json_number_is_repr_of_rounded_text(x, places):
     # JSON numbers are the rounded CSV/Markdown text in float.__repr__ form
     assume(abs(x) < 10.0 ** (26 - places))  # format_number's Decimal fallback limit
-    assert report._jnum(x, places) == repr(float(format_number(x, places)))
+    assert report._json_numbers([x, None], places) == [repr(float(format_number(x, places))),
+                                                       "null"]
 
 
 def test_json_documents_are_json_dumps_of_their_numbers(jscs_matrices):
