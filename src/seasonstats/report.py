@@ -9,6 +9,10 @@ and the dominant Fourier peaks (t6).
 value) pair of its column; `render` lays the rows out as CSV, Markdown or
 JSON at `AnalysisOptions.precision` and computes no statistics.
 
+One kernel, `_rounded`, rounds every number a row or column at a time: a
+grid row, a JSON column or row, an index-block input column per call.
+`format_number` and `quote_half_down` are its one-value forms.
+
 Index-block inputs are taken from the tables at their quoted precision:
 shares at the configured precision, acceptance ratios at the four decimal
 places the reference layout quotes them with (rounded, then renormalized
@@ -50,14 +54,6 @@ TOP_PEAK_COUNT = 2
 RATIO_QUOTED_PLACES = 4
 
 
-def _quantize(x: float, places: int, rounding: str) -> Decimal:
-    """repr(x) rounded to `places` decimals; InvalidOperation if x is not finite."""
-    value = Decimal(repr(float(x)))
-    if value.is_nan():
-        # quantize passes a quiet NaN through, where an infinity raises
-        raise InvalidOperation(f"cannot round {value}")
-    return value.quantize(Decimal(1).scaleb(-places), rounding=rounding)
-
 # places -> (bound, "%.{places}f", "%.{places+1}f"). Below the bound,
 # ulp(x) <= 2**-(10**(places+1)).bit_length() < 10**-(places+1), so the
 # interval of reals that round to x holds at most one (places+1)-decimal
@@ -70,12 +66,8 @@ _FAST_ROUNDING = {places: (2.0 ** (53 - (10 ** (places + 1)).bit_length()),
 
 def _rounded(values, places: int, rounding: str) -> list:
     """Each value's repr rounded to `places` decimals by `rounding` (ROUND_HALF_UP
-    or ROUND_HALF_DOWN), as fixed-point text; None stays None.
-
-    Below the bound of `places`, except at a repr tie, the binary float is
-    rounded with the format; otherwise the repr is rounded in Decimal, which
-    raises InvalidOperation for a non-finite value or one past 28 digits.
-    """
+    or ROUND_HALF_DOWN) as fixed-point text, None kept. The Decimal fallback
+    raises InvalidOperation for a non-finite value or one past 28 digits."""
     bound, text, probe = _FAST_ROUNDING.get(places, (0.0, "", ""))
     out = []
     for x in values:
@@ -84,8 +76,12 @@ def _rounded(values, places: int, rounding: str) -> list:
         elif -bound < x < bound and ((tail := probe % x)[-1] != "5" or float(tail) != x):
             out.append(text % x)
         else:
+            value = Decimal(repr(float(x)))
+            if value.is_nan():
+                # quantize passes a quiet NaN through, where an infinity raises
+                raise InvalidOperation(f"cannot round {value}")
             # "f": str() would write values below 1e-6 as 0E-7, 3E-7
-            out.append(format(_quantize(x, places, rounding), "f"))
+            out.append(format(value.quantize(Decimal(1).scaleb(-places), rounding=rounding), "f"))
     return out
 
 def quote_half_down(x: float, places: int) -> float:
@@ -180,7 +176,8 @@ class AnalysisBundle(NamedTuple):
 
 def _columns(table) -> list:
     """Per-year columns of a count, share or ratio table, then the cumulated one."""
-    return [table.column(j) for j in range(len(table.years))] + [table.cumulated]
+    rows = table.counts if isinstance(table, CountMatrix) else table.per_year
+    return [*zip(*rows), table.cumulated]
 
 def _test_rows(name, result) -> list:
     return [(name, result.statistic), (f"{name}_p", result.p_value)]
@@ -351,13 +348,12 @@ def _csv_text(header, rows) -> str:
     return out.getvalue()
 
 def _md_text(header, rows) -> str:
-    table = [header] + rows
-    widths = [max(len(str(row[i])) for row in table) for i in range(len(header))]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     def line(cells):
-        return "| " + " | ".join(str(c).ljust(w) for c, w in zip(cells, widths)) + " |"
+        return "| " + " | ".join(map(str.ljust, cells, widths)) + " |"
     parts = [line(header),
              "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-    parts.extend(line(row) for row in rows)
+    parts.extend(map(line, rows))
     return "\n".join(parts) + "\n"
 
 def _grid(layout: _Layout, places):
@@ -373,14 +369,12 @@ def _nest_columns(layout: _Layout, places):
     # JSON footers list z and z_p last, after the band rows, where the grids
     # put them after t_p; the JSON bytes are part of the contract
     footers.sort(key=lambda row: row[0][0] in ("z", "z_p"))
-    rows = months + footers
-    month_keys, footer_keys = [row for (row,), _ in months], [row for (row,), _ in footers]
-    columns = {}
-    for label, column in zip(layout.value_names, zip(*(values for _, values in rows))):
-        cells = _json_numbers(column, places)
-        columns[label] = {"months": dict(zip(month_keys, cells)),
-                          "footer": dict(zip(footer_keys, cells[MONTHS_PER_YEAR:]))}
-    return {"columns": columns}
+    def cells(rows, texts):
+        return {row: text for ((row,), _), text in zip(rows, texts)}
+    texts = [_json_numbers(column, places) for column in zip(*(v for _, v in months + footers))]
+    return {"columns": {label: {"months": cells(months, t),
+                                "footer": cells(footers, t[MONTHS_PER_YEAR:])}
+                        for label, t in zip(layout.value_names, texts)}}
 
 def _nest_blocks(layout: _Layout, places):
     blocks = {}
@@ -421,6 +415,7 @@ def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
     if scalar is not None:
         return scalar(value)
     inner = indent + "  "
+    written = scalars is _WRITTEN_LEAVES
     if type(value) is dict:
         if not value:
             return "{}"
@@ -428,12 +423,14 @@ def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
-            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner, scalars))
+            items.append(encode_basestring_ascii(key) + ": " + (
+                item if written and type(item) is str else _json_text(item, inner, scalars)))
         opening, closing = "{", "}"
     elif type(value) is list:
         if not value:
             return "[]"
-        items = [_json_text(item, inner, scalars) for item in value]
+        items = [item if written and type(item) is str else _json_text(item, inner, scalars)
+                 for item in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
@@ -443,7 +440,7 @@ def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
 def render(bundle: AnalysisBundle, format: str) -> list:
     """Render the six documents in the requested format at the bundle's precision.
 
-    A value that needs more than the 28 significant digits of format_number's
+    A value that needs more than the 28 significant digits of _rounded's
     Decimal fallback at that precision raises DataError naming its document.
     """
     if format not in FORMATS:
@@ -464,7 +461,7 @@ def render(bundle: AnalysisBundle, format: str) -> list:
             else:
                 text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
         except InvalidOperation:
-            # format_number's Decimal fallback holds 28 significant digits
+            # _rounded's Decimal fallback holds 28 significant digits
             raise DataError(f"{name}: a value needs more than 28 significant digits "
                             f"at precision {places}") from None
         documents.append(NamedDocument(name, text))

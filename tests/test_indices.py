@@ -1,9 +1,11 @@
 """Entropy, diversity, and inequality indices."""
 
 import math
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seasonstats.indices import (
     diversity,
@@ -145,6 +147,28 @@ def test_gini_known_values():
     assert gini([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.75)
     assert gini([3.0, 1.0]) == pytest.approx(0.25)
     assert gini(rv.JSCS_2012_SUB_COUNTS) == pytest.approx(0.15063, abs=5e-4)
+
+
+def _gini_abs_reference(values):
+    """The n^2 mean-absolute-difference form with abs(), folded row by row from 0."""
+    total = reduce(add, values, 0)
+    abs_diff = reduce(add, [abs(a - b) for a in values for b in values], 0)
+    return abs_diff / (2.0 * len(values) * total)
+
+
+@given(st.lists(st.sampled_from((0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324))
+                | st.floats(0.0, 1e300), min_size=1, max_size=16))
+@example([0.0, -0.0, 0.5])
+@example([-0.0, 0.0, -0.0, 0.0, 2.0])
+@example([0.25, 0.25, 0.25, 0.25])
+@example([1e300, 1.7e308, 0.0])
+@example([5e-324, 1e-320, 0.0])
+def test_gini_is_the_abs_difference_form_bit_for_bit(values):
+    if reduce(add, values, 0) <= 0:
+        with pytest.raises(ValueError, match="all entries are zero"):
+            gini(values)
+    else:
+        assert gini(values).hex() == _gini_abs_reference(values).hex()
 
 
 def test_gini_scale_invariant():

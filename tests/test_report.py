@@ -330,6 +330,31 @@ def test_markdown_document(jscs_bundle):
     assert all(line.startswith("|") and line.endswith("|") for line in lines[2:])
 
 
+def _md_reference(header, rows):
+    """Markdown table with each column padded to its widest cell, one cell at a time."""
+    table = [header] + rows
+    widths = [max(len(str(row[i])) for row in table) for i in range(len(header))]
+    def line(cells):
+        return "| " + " | ".join(str(c).ljust(w) for c, w in zip(cells, widths)) + " |"
+    parts = [line(header), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
+    parts.extend(line(row) for row in rows)
+    return "\n".join(parts) + "\n"
+
+
+_CELLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ("NA", "0.0833333", "-1.2500000", "\u00e9t\u00e9", "\U0001f600", "\u2028", ""))
+
+
+@given(st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.lists(_CELLS, min_size=width, max_size=width),
+    st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=6))))
+@example((["row", "2012"], [["Jan", "0.1"], ["Feb", "\u00e9\u00e9\u00e9\u00e9"]]))
+@example((["block", "index", "[2012-2014]"], []))
+def test_markdown_widths_equal_per_cell_padding(table):
+    header, rows = table
+    assert report._md_text(header, rows) == _md_reference(header, rows)
+
+
 def test_json_share_document(jscs_bundle):
     body = json.loads(_doc(render(jscs_bundle, "json"), "t1_submitted").text)
     assert body["name"] == "t1_submitted"
