@@ -133,9 +133,12 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     if total == 0:
         raise ValueError("zero total count")
     n = len(observed)
-    expected = total / n
-    # a left fold from 0: builtin sum compensates float sums from Python 3.12 on
-    stat = reduce(add, [(o - expected) ** 2 / expected for o in observed], 0)
+    try:
+        expected = total / n
+        # a left fold from 0: builtin sum compensates float sums from Python 3.12 on
+        stat = reduce(add, [(o - expected) ** 2 / expected for o in observed], 0)
+    except OverflowError:
+        raise ValueError("chi-square statistic overflows the float range") from None
     dof = n - 1
     return TestResult(stat, chi_square_sf(stat, dof), dof, expected, "chi_square")
 

@@ -46,6 +46,14 @@ def _run(args):
     return main([str(a) for a in args])
 
 
+def _spawn(args):
+    """`python -m seasonstats` with args, on this checkout's source."""
+    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-m", "seasonstats", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
 def test_counts_end_to_end(counts_csv, tmp_path, capsys):
     out = tmp_path / "out"
     code = _run(["--input", counts_csv, "--format", "counts",
@@ -336,12 +344,8 @@ def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
              "NUL byte": [header, row, row.replace("5", "\0", 1)]}[problem]
     path = tmp_path / "input.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run([sys.executable, "-m", "seasonstats", "--input", str(path),
-                             "--format", input_format, "--journal", "JSCS",
-                             "--out", str(tmp_path / "x")],
-                            capture_output=True, text=True, env=env)
+    result = _spawn(["--input", path, "--format", input_format, "--journal", "JSCS",
+                     "--out", tmp_path / "x"])
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("analyze: ")
@@ -349,6 +353,22 @@ def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
         line = 1 if problem == "long header field" else 3
         assert result.stderr == (f"analyze: unreadable CSV at line {line}: field larger "
                                  f"than field limit ({csv.field_size_limit()})\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scale", [10 ** 200, 10 ** 400])
+def test_chi_square_past_the_float_range_exits_1(tmp_path, scale):
+    # month m has m * scale submissions: the squared deviations pass the float
+    # range at 10**200, the expected count itself at 10**400
+    path = tmp_path / "huge.csv"
+    path.write_text("journal,year,month,submitted,accepted\n" + "".join(
+        f"J,2012,{m},{m * scale},{m}\n" for m in range(1, 13)), encoding="utf-8")
+    result = _spawn(["--input", path, "--format", "counts", "--journal", "J",
+                     "--out", tmp_path / "x"])
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == ("analyze: t1_submitted, column 2012: "
+                             "chi-square statistic overflows the float range\n")
     assert not (tmp_path / "x").exists()
 
 
