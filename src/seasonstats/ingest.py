@@ -63,7 +63,11 @@ class CountMatrix(_CountFields):
             if len(row) != len(years):
                 raise DataError("count row width does not match year list")
             for v in row:
-                if v < 0 or v != int(v):
+                try:
+                    bad = v < 0 or v != int(v)
+                except (OverflowError, ValueError):  # int() of inf or nan
+                    bad = True
+                if bad:
                     raise DataError("counts must be non-negative integers")
         if outcome not in ("submitted", "accepted"):
             raise DataError(f"unknown outcome {outcome!r}")

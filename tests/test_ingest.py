@@ -166,6 +166,9 @@ def test_count_matrix_validation():
         CountMatrix((2012,), ((1,),) * 11, "submitted")
     with pytest.raises(DataError, match="non-negative"):
         CountMatrix((2012,), ((-1,),) + ((0,),) * 11, "submitted")
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DataError, match="^counts must be non-negative integers$"):
+            CountMatrix((2012,), ((bad,),) + ((0,),) * 11, "submitted")
     with pytest.raises(DataError, match="outcome"):
         CountMatrix((2012,), ((0,),) * 12, "published")
 
