@@ -98,13 +98,20 @@ def main(argv=None) -> int:
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports often start with
         with open(args.input, encoding="utf-8-sig", newline="") as handle:
-            lines = handle.read().splitlines()
+            text = handle.read()
     except UnicodeDecodeError as exc:
         print(f"analyze: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)
         return 2
+    # csv ends a record only at \r\n, \r and \n; str.splitlines also breaks
+    # at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
 
     try:
         years = None if args.years is None else _parse_years(args.years)

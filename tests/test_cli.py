@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seasonstats.cli import _parse_orders, _parse_years, build_parser, main
-from seasonstats.ingest import DataError
+from seasonstats.ingest import DataError, parse_counts, parse_events
 
 import refvalues as rv
 
@@ -353,6 +353,28 @@ def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
         line = 1 if problem == "long header field" else 3
         assert result.stderr == (f"analyze: unreadable CSV at line {line}: field larger "
                                  f"than field limit ({csv.field_size_limit()})\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("separator", ["\f", "\u2028"])
+@pytest.mark.parametrize("input_format", sorted(_SHAPES))
+def test_line_numbers_follow_csv_records(tmp_path, input_format, separator, line_end):
+    # str.splitlines also breaks at \f and \u2028, which csv reads as field
+    # text: line 3 is a valid row, and the error is the one on line 4
+    header, row = _SHAPES[input_format]
+    bad = {"events": "JSCS,2012-13-01,accepted", "counts": "JSCS,2012,13,5,3"}[input_format]
+    lines = [header, row, row.replace("JSCS", f"J{separator}X"), bad]
+    path = tmp_path / "input.csv"
+    path.write_text(line_end.join(lines) + line_end, encoding="utf-8", newline="")
+    parse = {"events": lambda fh: parse_events(fh, "JSCS"), "counts": parse_counts}[input_format]
+    with open(path, encoding="utf-8", newline="") as handle:
+        with pytest.raises(DataError, match=r" at line 4\b") as raised:
+            parse(handle)
+    result = _spawn(["--input", path, "--format", input_format, "--journal", "JSCS",
+                     "--out", tmp_path / "x"])
+    assert result.returncode == 1
+    assert result.stderr == f"analyze: {raised.value}\n"
     assert not (tmp_path / "x").exists()
 
 
