@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from datetime import MAXYEAR, MINYEAR, date
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 MONTHS_PER_YEAR = 12
@@ -123,6 +124,62 @@ def _reader_errors(reader):
         raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
+def _iso_date(field: str) -> date:
+    """The date a `YYYY-MM-DD` field names; ValueError for any other text."""
+    # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
+    if len(field) != 10 or field[4] != "-" or field[7] != "-":
+        raise ValueError("expected YYYY-MM-DD")
+    return date.fromisoformat(field)
+
+
+def _split_events(lines: list, journal: str) -> "list | None":
+    """`parse_events` on lines split at each comma with `str.split`, or None
+    at the first row this cannot vouch for (a blank line, a wrong column
+    count, a bad date or decision) and when a field holds a quote, NUL, CR
+    or LF or is longer than `csv.field_size_limit()`.
+
+    Without those four characters and within the limit, a line splits at
+    every comma exactly as `csv.reader` splits it under the excel dialect,
+    and raises no `csv.Error`. Every field of every row is a key of one of
+    the three memos, so checking the header and the distinct keys checks
+    every field.
+    """
+    dates = {}
+    decisions = {}
+    journals = {}  # raw journal field -> whether it is `journal`
+    records = []
+    rows = map(str.split, lines, repeat(","))
+    # a ValueError is a row that does not unpack to three fields or a bad
+    # date; a TypeError is an item that is not a str
+    try:
+        header = next(rows, None)
+        if header is None or tuple(h.strip().lower() for h in header) != EVENT_HEADER:
+            return None
+        for raw_journal, raw_date, raw_decision in rows:
+            submitted_at = dates.get(raw_date)
+            if submitted_at is None:
+                submitted_at = dates[raw_date] = _iso_date(raw_date.strip())
+            decision = decisions.get(raw_decision)
+            if decision is None:
+                decision = raw_decision.strip().lower()
+                if decision not in DECISIONS:
+                    return None
+                decisions[raw_decision] = decision
+            mine = journals.get(raw_journal)
+            if mine is None:
+                mine = journals[raw_journal] = raw_journal.strip() == journal
+            if mine:
+                records.append(EventRecord(submitted_at, decision))
+    except (TypeError, ValueError):
+        return None
+    limit = csv.field_size_limit()
+    for field in chain(header, dates, decisions, journals):
+        if (len(field) > limit or '"' in field or "\0" in field
+                or "\r" in field or "\n" in field):
+            return None
+    return records
+
+
 def parse_events(stream: Iterable[str], journal: str) -> list:
     """Parse event-level CSV with header journal,submitted_at,decision.
 
@@ -130,7 +187,16 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
     order), but records are built only for rows of `journal`. Dates and
     decisions repeat heavily, so each distinct raw field is checked once
     per parse.
+
+    A list of lines, as `cli.main` passes, is first split at its commas by
+    `_split_events`; a file handle, quoted input and any input with a bad
+    row go through `csv.reader`, which alone reports errors, so messages
+    and line numbers are the same on both paths.
     """
+    if isinstance(stream, list):
+        records = _split_events(stream, journal)
+        if records is not None:
+            return records
     reader = csv.reader(stream)
     with _reader_errors(reader):
         try:
@@ -152,10 +218,7 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
             if submitted_at is None:
                 field = raw_date.strip()
                 try:
-                    # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
-                    if len(field) != 10 or field[4] != "-" or field[7] != "-":
-                        raise ValueError("expected YYYY-MM-DD")
-                    submitted_at = dates[raw_date] = date.fromisoformat(field)
+                    submitted_at = dates[raw_date] = _iso_date(field)
                 except ValueError as exc:
                     raise DataError(f"invalid date {field!r} at line {lineno}: {exc}") from None
             decision = decisions.get(raw_decision)

@@ -1,11 +1,13 @@
 """Parsing, aggregation, and count-matrix construction."""
 
 import csv
+import io
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from seasonstats import ingest
 from seasonstats.ingest import (
     DECISIONS,
     CountMatrix,
@@ -101,6 +103,13 @@ def test_aggregate_default_years_span_first_to_last():
 def _parse_all_then_filter(lines, journal):
     """Reference: build a record for every row, then keep one journal's."""
     reader = csv.reader(lines)
+    try:
+        return _records_then_filter(reader, journal)
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+
+
+def _records_then_filter(reader, journal):
     next(reader)
     records = []
     for lineno, row in enumerate(reader, start=2):
@@ -127,12 +136,32 @@ def _padded(values):
         lambda v: st.sampled_from((v, f" {v}", f"{v} ", f"  {v}\t")))
 
 
+def _quoted(values):
+    # a field with a comma must be quoted; any other may be
+    return st.sampled_from(values).flatmap(
+        lambda v: st.just(f'"{v}"') if "," in v else st.sampled_from((v, f'"{v}"')))
+
+
+def _line_ends(lines):
+    # csv.reader takes a line with its \r, \n or \r\n as it takes one without
+    return lines.flatmap(lambda line: st.sampled_from(
+        (line, line + "\n", line + "\r", line + "\r\n")))
+
+
 _JOURNALS = ("JSCS", "Entropy", "jscs", "Nature")
 _GOOD_ROWS = st.tuples(
     _padded(_JOURNALS),
     _padded(("2012-01-15", "2013-02-28", "2016-02-29", "2014-12-31")),
     _padded(("accepted", "rejected", "Accepted", "REJECTED", "aCcEpTeD")),
 ).map(",".join)
+# valid rows that str.split reads otherwise than csv.reader, or that csv.reader
+# refuses: quotes, a comma inside quotes, NUL (refused before Python 3.11)
+# and a line end
+_CSV_ROWS = _line_ends(st.tuples(
+    _quoted(_JOURNALS + ("J,X", "N\0L")).flatmap(lambda v: _padded((v,))),
+    _padded(("2012-01-15", "2014-12-31")).flatmap(lambda v: _quoted((v,))),
+    _padded(("accepted", "Rejected")).flatmap(lambda v: _quoted((v,))),
+).map(",".join))
 _BAD_ROWS = st.one_of(
     st.tuples(_padded(_JOURNALS),
               _padded(("2013-02-29", "2012-13-01", "2012/01/15", "", "x",
@@ -140,17 +169,31 @@ _BAD_ROWS = st.one_of(
               st.sampled_from(("accepted", "maybe"))).map(",".join),
     st.tuples(_padded(_JOURNALS), st.just("2012-01-15"),
               _padded(("maybe", "", "accept", "acceptéd"))).map(",".join),
-    st.sampled_from(("JSCS,2012-01-15", "JSCS,2012-01-15,accepted,x", "JSCS", "\"a,b\",c")),
+    st.sampled_from(("JSCS,2012-01-15", "JSCS,2012-01-15,accepted,x", "JSCS", "\"a,b\",c",
+                     "J,X,2012-01-15,accepted", "JSCS\r,2012-01-15,accepted",
+                     "JSCS,2012-01-15\n,accepted", "JSCS,\"2012-01-15,accepted",
+                     "JS\"CS,2012-01-15,accepted")),
 )
+_HEADERS = _line_ends(st.sampled_from((
+    "journal,submitted_at,decision", "Journal , submitted_at,DECISION",
+    '"journal",submitted_at,decision', 'journal,"submitted_at","decision"')))
 
 
-@given(st.lists(_GOOD_ROWS | st.just(""), max_size=30),
+# a CR or LF inside a line that strip() removes from a field; NUL; an item
+# that is not a str
+@example(["JSCS\r,2012-01-15,accepted"], [], "JSCS", "journal,submitted_at,decision")
+@example(["JSCS,2012-01-15\n,accepted"], [], "JSCS", "journal,submitted_at,decision")
+@example(["N\0L,2012-01-15,accepted"], [], "N\0L", "journal,submitted_at,decision")
+@example(["JSCS,2012-01-15,accepted", 5], [], "JSCS", "journal,submitted_at,decision")
+@given(st.lists(_GOOD_ROWS, max_size=30)
+       | st.lists(_GOOD_ROWS | _CSV_ROWS | st.just(""), max_size=30),
        st.lists(st.tuples(st.integers(0, 30), _BAD_ROWS), max_size=2),
-       st.sampled_from(_JOURNALS + ("Absent",)))
-def test_parse_events_matches_parse_all_then_filter(rows, bad, journal):
+       st.sampled_from(_JOURNALS + ("J,X", "N\0L", "Absent")),
+       st.just("journal,submitted_at,decision") | _HEADERS)
+def test_parse_events_matches_parse_all_then_filter(rows, bad, journal, header):
     for position, row in bad:
         rows.insert(position, row)
-    lines = ["journal,submitted_at,decision", *rows]
+    lines = [header, *rows]
     try:
         expected = _parse_all_then_filter(lines, journal)
     except DataError as exc:
@@ -159,6 +202,50 @@ def test_parse_events_matches_parse_all_then_filter(rows, bad, journal):
         assert str(raised.value) == str(exc)
     else:
         assert parse_events(lines, journal) == expected
+
+
+@pytest.mark.parametrize("lines", [
+    ["journal,submitted_at,decision", "JSCS,2012-01-15,accepted", "J" * 12 + ",2012-01-15,accepted"],
+    ["journal,submitted_at,decision", "JSCS,2012-01-15,accepted", "J" * 13 + ",2012-01-15,accepted"],
+    ["journal,submitted_at,decision", "JSCS,2012-01-15  ,accepted", "JSCS,2012-01-15   ,accepted"],
+    ["journal,submitted_at,decision", "JSCS,2012-01-15,accepted" + " " * 5],
+    ["journal,submitted_at,decision" + " " * 5, "JSCS,2012-01-15,accepted"],
+    ["journal,submitted_at,decision", '"JSCS",2012-01-15,' + "x" * 13],
+])
+def test_parse_events_matches_reference_past_the_field_limit(lines):
+    # a field longer than csv.field_size_limit() is a csv.Error, reported as a
+    # DataError with its line; one of exactly the limit is read
+    old = csv.field_size_limit(12)
+    try:
+        try:
+            expected = _parse_all_then_filter(lines, "JSCS")
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                parse_events(lines, "JSCS")
+            assert str(raised.value) == str(exc)
+            assert str(exc).endswith("field larger than field limit (12)")
+        else:
+            assert parse_events(lines, "JSCS") == expected
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_parse_events_splits_clean_lists_without_csv(monkeypatch):
+    clean = ["journal,submitted_at,decision"] + [
+        f"{('JSCS', 'Entropy')[i % 2]},2012-{i % 12 + 1:02d}-{i % 28 + 1:02d},"
+        f"{DECISIONS[i % 3 == 0]}" for i in range(1000)]
+    expected = _parse_all_then_filter(clean, "JSCS")
+    assert len(expected) == 500
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(ingest.csv, "reader", refuse)
+    assert parse_events(clean, "JSCS") == expected
+    quoted = [clean[0], '"JSCS",2012-01-15,accepted', *clean[1:]]
+    for stream in (quoted, io.StringIO("\n".join(clean) + "\n")):
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            parse_events(stream, "JSCS")
 
 
 def test_count_matrix_validation():
