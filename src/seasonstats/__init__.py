@@ -6,8 +6,8 @@ inequality measures, significance tests, and DFT periodicity detection.
 """
 from .indices import (diversity, entropy, exponential_entropy, gini, hhi, lorenz,
                       monthly_entropy_terms, theil)
-from .ingest import (CountMatrix, DataError, EventRecord, aggregate,
-                     matrices_from_counts, parse_counts, parse_events)
+from .ingest import (CountMatrix, DataError, aggregate, matrices_from_counts, parse_counts,
+                     parse_events)
 from .probability import MonthTable, conditional, normalize, shares
 from .report import (AnalysisBundle, AnalysisOptions, NamedDocument,
                      build_bundle, render)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisBundle", "AnalysisOptions", "CountMatrix", "DataError", "DescriptiveStats",
-    "EventRecord", "MonthTable", "NamedDocument", "SpectralPeak", "TestResult",
+    "MonthTable", "NamedDocument", "SpectralPeak", "TestResult",
     "aggregate", "build_bundle", "chi_square_uniform", "conditional", "describe",
     "dft_magnitudes", "diversity", "entropy", "exponential_entropy", "gini", "hhi",
     "lorenz", "matrices_from_counts", "monthly_entropy_terms", "normalize",

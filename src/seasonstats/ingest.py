@@ -2,11 +2,13 @@
 
 Two input shapes are supported: event-level CSV (one row per submission
 with its final decision) and pre-aggregated counts CSV (one row per
-journal, year, month).
+journal, year, month). Both parse to counts rows, and `_matrices` lays out
+every (submitted, accepted) matrix pair.
 """
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from contextlib import contextmanager
 from datetime import MAXYEAR, MINYEAR, date
 from itertools import chain, repeat
@@ -21,27 +23,6 @@ COUNTS_HEADER = ("journal", "year", "month", "submitted", "accepted")
 
 class DataError(ValueError):
     """Invalid input data (malformed rows, broken invariants, empty selections)."""
-
-
-class _EventFields(NamedTuple):
-    submitted_at: date
-    decision: str
-
-
-class EventRecord(_EventFields):
-    """One submission of the journal `parse_events` selected."""
-
-    __slots__ = ()
-
-    def __new__(cls, submitted_at: date, decision: str):
-        if decision not in DECISIONS:
-            raise DataError(f"unknown decision {decision!r}")
-        return super().__new__(cls, submitted_at, decision)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so both run the checks in __new__
-        return cls(*iterable)
 
 
 class _CountFields(NamedTuple):
@@ -124,12 +105,22 @@ def _reader_errors(reader):
         raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
-def _iso_date(field: str) -> date:
-    """The date a `YYYY-MM-DD` field names; ValueError for any other text."""
+def _iso_month(field: str) -> tuple:
+    """The (year, month) of the date a `YYYY-MM-DD` field names; ValueError
+    for any other text."""
     # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
     if len(field) != 10 or field[4] != "-" or field[7] != "-":
         raise ValueError("expected YYYY-MM-DD")
-    return date.fromisoformat(field)
+    day = date.fromisoformat(field)
+    return day.year, day.month
+
+
+def _tally(journal: str, events: list) -> list:
+    """Counts rows (journal, year, month, submitted, accepted) of `events`,
+    a list of ((year, month), decision) pairs: one row per month, in date order."""
+    tally = Counter(events)
+    return [(journal, *month, tally[month, "accepted"] + tally[month, "rejected"],
+             tally[month, "accepted"]) for month in sorted({month for month, _ in tally})]
 
 
 def _split_events(lines: list, journal: str) -> "list | None":
@@ -144,10 +135,10 @@ def _split_events(lines: list, journal: str) -> "list | None":
     the three memos, so checking the header and the distinct keys checks
     every field.
     """
-    dates = {}
+    months = {}
     decisions = {}
     journals = {}  # raw journal field -> whether it is `journal`
-    records = []
+    events = []
     rows = map(str.split, lines, repeat(","))
     # a ValueError is a row that does not unpack to three fields or a bad
     # date; a TypeError is an item that is not a str
@@ -156,9 +147,9 @@ def _split_events(lines: list, journal: str) -> "list | None":
         if header is None or tuple(h.strip().lower() for h in header) != EVENT_HEADER:
             return None
         for raw_journal, raw_date, raw_decision in rows:
-            submitted_at = dates.get(raw_date)
-            if submitted_at is None:
-                submitted_at = dates[raw_date] = _iso_date(raw_date.strip())
+            month = months.get(raw_date)
+            if month is None:
+                month = months[raw_date] = _iso_month(raw_date.strip())
             decision = decisions.get(raw_decision)
             if decision is None:
                 decision = raw_decision.strip().lower()
@@ -169,24 +160,27 @@ def _split_events(lines: list, journal: str) -> "list | None":
             if mine is None:
                 mine = journals[raw_journal] = raw_journal.strip() == journal
             if mine:
-                records.append(EventRecord(submitted_at, decision))
+                events.append((month, decision))
     except (TypeError, ValueError):
         return None
     limit = csv.field_size_limit()
-    for field in chain(header, dates, decisions, journals):
+    for field in chain(header, months, decisions, journals):
         if (len(field) > limit or '"' in field or "\0" in field
                 or "\r" in field or "\n" in field):
             return None
-    return records
+    return events
 
 
 def parse_events(stream: Iterable[str], journal: str) -> list:
-    """Parse event-level CSV with header journal,submitted_at,decision.
+    """Parse event-level CSV with header journal,submitted_at,decision into
+    `journal`'s counts rows (journal, year, month, submitted, accepted), the
+    shape `parse_counts` returns: one row per month that has events, in date
+    order.
 
     Every row is validated (column count, YYYY-MM-DD date, decision, in that
-    order), but records are built only for rows of `journal`. Dates and
-    decisions repeat heavily, so each distinct raw field is checked once
-    per parse.
+    order), but only rows of `journal` are counted. Dates and decisions
+    repeat heavily, so each distinct raw field is checked once per parse.
+    Errors name the line a row ends on.
 
     A list of lines, as `cli.main` passes, is first split at its commas by
     `_split_events`; a file handle, quoted input and any input with a bad
@@ -194,9 +188,9 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
     and line numbers are the same on both paths.
     """
     if isinstance(stream, list):
-        records = _split_events(stream, journal)
-        if records is not None:
-            return records
+        events = _split_events(stream, journal)
+        if events is not None:
+            return _tally(journal, events)
     reader = csv.reader(stream)
     with _reader_errors(reader):
         try:
@@ -205,58 +199,60 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
             raise DataError("empty input, expected a header row") from None
         if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
             raise DataError(f"expected header {','.join(EVENT_HEADER)} at line 1")
-        dates = {}
+        months = {}
         decisions = {}
-        records = []
-        for lineno, row in enumerate(reader, start=2):
+        events = []
+        for row in reader:
             if not row:
                 continue
             if len(row) != 3:
-                raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
+                raise DataError(f"expected 3 columns at line {reader.line_num}, got {len(row)}")
             raw_journal, raw_date, raw_decision = row
-            submitted_at = dates.get(raw_date)
-            if submitted_at is None:
+            month = months.get(raw_date)
+            if month is None:
                 field = raw_date.strip()
                 try:
-                    submitted_at = dates[raw_date] = _iso_date(field)
+                    month = months[raw_date] = _iso_month(field)
                 except ValueError as exc:
-                    raise DataError(f"invalid date {field!r} at line {lineno}: {exc}") from None
+                    raise DataError(f"invalid date {field!r} at line {reader.line_num}: "
+                                    f"{exc}") from None
             decision = decisions.get(raw_decision)
             if decision is None:
                 field = raw_decision.strip()
                 decision = field.lower()
                 if decision not in DECISIONS:
-                    raise DataError(f"unknown decision {field!r} at line {lineno}")
+                    raise DataError(f"unknown decision {field!r} at line {reader.line_num}")
                 decisions[raw_decision] = decision
             if raw_journal.strip() == journal:
-                records.append(EventRecord(submitted_at, decision))
-    return records
+                events.append((month, decision))
+    return _tally(journal, events)
 
 
-def aggregate(events: Sequence[EventRecord], years: "Sequence[int] | None" = None) -> tuple:
-    """Count one journal's events in `years` (default: the first event's year to the
-    last's) into a (submitted, accepted) matrix pair; `years` must be contiguous."""
-    years = _year_span((ev.submitted_at.year for ev in events), years)
-    index = {y: j for j, y in enumerate(years)}
-    sub = [[0] * len(years) for _ in range(MONTHS_PER_YEAR)]
-    acc = [[0] * len(years) for _ in range(MONTHS_PER_YEAR)]
-    for ev in events:
-        if ev.submitted_at.year not in index:
-            continue
-        m = ev.submitted_at.month - 1
-        j = index[ev.submitted_at.year]
-        sub[m][j] += 1
-        if ev.decision == "accepted":
-            acc[m][j] += 1
-    if not any(map(any, sub)):
+def _matrices(cells: dict, years: tuple) -> tuple:
+    """The (submitted, accepted) pair over `years` from {(year, month):
+    (submitted, accepted)}; a month without a cell counts as zero."""
+    grid = [[cells.get((year, month), (0, 0)) for year in years]
+            for month in range(1, MONTHS_PER_YEAR + 1)]
+    return (CountMatrix(years, tuple(tuple(c[0] for c in row) for row in grid), "submitted"),
+            CountMatrix(years, tuple(tuple(c[1] for c in row) for row in grid), "accepted"))
+
+
+def aggregate(rows: Sequence[tuple], years: "Sequence[int] | None" = None) -> tuple:
+    """The (submitted, accepted) pair over `years` (default: the first row's year
+    to the last's; given years must be contiguous) from one journal's counts
+    rows as `parse_events` returns them; a month without a row counts as zero."""
+    years = _year_span((r[1] for r in rows), years)
+    submitted, accepted = _matrices({(r[1], r[2]): r[3:] for r in rows}, years)
+    if not any(submitted.totals):
         raise DataError(f"empty selection: no events in {years[0]}-{years[-1]}")
-    submitted = CountMatrix(years, tuple(tuple(r) for r in sub), "submitted")
-    accepted = CountMatrix(years, tuple(tuple(r) for r in acc), "accepted")
     return submitted, accepted
 
 
 def parse_counts(stream: Iterable[str]) -> list:
-    """Parse counts CSV with header journal,year,month,submitted,accepted."""
+    """Parse counts CSV with header journal,year,month,submitted,accepted.
+
+    Errors name the line a row ends on.
+    """
     reader = csv.reader(stream)
     with _reader_errors(reader):
         try:
@@ -266,24 +262,24 @@ def parse_counts(stream: Iterable[str]) -> list:
         if tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
             raise DataError(f"expected header {','.join(COUNTS_HEADER)} at line 1")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 5:
-                raise DataError(f"expected 5 columns at line {lineno}, got {len(row)}")
+                raise DataError(f"expected 5 columns at line {reader.line_num}, got {len(row)}")
             journal = row[0].strip()
             try:
                 year, month, submitted, accepted = (int(v) for v in row[1:])
             except ValueError:
-                raise DataError(f"non-integer count field at line {lineno}") from None
+                raise DataError(f"non-integer count field at line {reader.line_num}") from None
             if not MINYEAR <= year <= MAXYEAR:
-                raise DataError(f"year out of range at line {lineno}")
+                raise DataError(f"year out of range at line {reader.line_num}")
             if not 1 <= month <= 12:
-                raise DataError(f"month out of range at line {lineno}")
+                raise DataError(f"month out of range at line {reader.line_num}")
             if submitted < 0 or accepted < 0:
-                raise DataError(f"negative count at line {lineno}")
+                raise DataError(f"negative count at line {reader.line_num}")
             if accepted > submitted:
-                raise DataError(f"accepted exceeds submitted at line {lineno}")
+                raise DataError(f"accepted exceeds submitted at line {reader.line_num}")
             rows.append((journal, year, month, submitted, accepted))
     return rows
 
@@ -312,8 +308,4 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
         for m in range(1, MONTHS_PER_YEAR + 1):
             if (y, m) not in cells:
                 raise DataError(f"missing month {y}-{m:02d} for journal {journal!r}")
-    sub = tuple(tuple(cells[(y, m + 1)][0] for y in years) for m in range(MONTHS_PER_YEAR))
-    acc = tuple(tuple(cells[(y, m + 1)][1] for y in years) for m in range(MONTHS_PER_YEAR))
-    submitted = CountMatrix(years, sub, "submitted")
-    accepted = CountMatrix(years, acc, "accepted")
-    return submitted, accepted
+    return _matrices(cells, years)

@@ -396,26 +396,23 @@ def _nest_series(layout: _Layout, places):
 _NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
             ("series", "rank"): _nest_series}
 
-# with default arguments json writes these types with these functions
-_JSON_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii,
-                 type(None): lambda _: "null"}
 # render's documents hold every string, number and null leaf as its JSON
-# text already (numbers and nulls from _json_numbers), written as it is
-_WRITTEN_LEAVES = {**_JSON_SCALARS, str: str}
+# text already (numbers and nulls from _json_numbers), and the years and the
+# precision as int
+_LEAVES = {str: str, int: int.__repr__}
 
-def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
-    """json.dumps(value, indent=2) for None, int, finite float and str, nested in
-    lists and str-keyed dicts; TypeError for any other type, bool and tuple included.
-    `scalars` maps each leaf type to the function that writes it.
+def _json_text(value, indent="") -> str:
+    """json.dumps(value, indent=2) for str leaves that are JSON text already
+    and int leaves, nested in lists and str-keyed dicts; TypeError for any other
+    type, bool, float, None and tuple included.
 
     json writes indented text with its pure-Python encoder, as its C encoder
     writes compact text only; this does the same work in fewer calls.
     """
-    scalar = scalars.get(type(value))
-    if scalar is not None:
-        return scalar(value)
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     inner = indent + "  "
-    written = scalars is _WRITTEN_LEAVES
     if type(value) is dict:
         if not value:
             return "{}"
@@ -424,13 +421,12 @@ def _json_text(value, indent="", scalars=_JSON_SCALARS) -> str:
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
             items.append(encode_basestring_ascii(key) + ": " + (
-                item if written and type(item) is str else _json_text(item, inner, scalars)))
+                item if type(item) is str else _json_text(item, inner)))
         opening, closing = "{", "}"
     elif type(value) is list:
         if not value:
             return "[]"
-        items = [item if written and type(item) is str else _json_text(item, inner, scalars)
-                 for item in value]
+        items = [item if type(item) is str else _json_text(item, inner) for item in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
@@ -457,7 +453,7 @@ def render(bundle: AnalysisBundle, format: str) -> list:
                         "journal": encode_basestring_ascii(bundle.journal),
                         "years": list(bundle.years), "precision": places}
                 body.update(_NESTERS[layout.keys](layout, places))
-                text = _json_text(body, scalars=_WRITTEN_LEAVES) + "\n"
+                text = _json_text(body) + "\n"
             else:
                 text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
         except InvalidOperation:

@@ -357,19 +357,21 @@ def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("separator", ["\f", "\u2028"])
+@pytest.mark.parametrize("separator", ["\f", "\u2028", "\n"])
 @pytest.mark.parametrize("input_format", sorted(_SHAPES))
 def test_line_numbers_follow_csv_records(tmp_path, input_format, separator, line_end):
     # str.splitlines also breaks at \f and \u2028, which csv reads as field
-    # text: line 3 is a valid row, and the error is the one on line 4
+    # text: line 3 is a valid row, and the error is the one on line 4; a
+    # quoted label over lines 3-4 is one record, and the error is on line 5
     header, row = _SHAPES[input_format]
     bad = {"events": "JSCS,2012-13-01,accepted", "counts": "JSCS,2012,13,5,3"}[input_format]
-    lines = [header, row, row.replace("JSCS", f"J{separator}X"), bad]
+    label, line = ('"J\nX"', 5) if separator == "\n" else (f"J{separator}X", 4)
+    lines = [header, row, row.replace("JSCS", label), bad]
     path = tmp_path / "input.csv"
     path.write_text(line_end.join(lines) + line_end, encoding="utf-8", newline="")
     parse = {"events": lambda fh: parse_events(fh, "JSCS"), "counts": parse_counts}[input_format]
     with open(path, encoding="utf-8", newline="") as handle:
-        with pytest.raises(DataError, match=r" at line 4\b") as raised:
+        with pytest.raises(DataError, match=rf" at line {line}\b") as raised:
             parse(handle)
     result = _spawn(["--input", path, "--format", input_format, "--journal", "JSCS",
                      "--out", tmp_path / "x"])

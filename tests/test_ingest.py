@@ -12,7 +12,6 @@ from seasonstats.ingest import (
     DECISIONS,
     CountMatrix,
     DataError,
-    EventRecord,
     aggregate,
     matrices_from_counts,
     parse_counts,
@@ -32,12 +31,14 @@ EVENT_LINES = [
 
 
 def test_parse_events_basic():
-    records = parse_events(EVENT_LINES, "JSCS")
-    assert len(records) == 4
-    assert records[0].submitted_at == date(2012, 1, 15)
-    assert records[2].decision == "accepted"  # case-insensitive
-    assert parse_events(EVENT_LINES, "Entropy") == [
-        EventRecord(date(2014, 3, 10), "rejected")]
+    # one counts row per month with events, in date order; decisions are
+    # case-insensitive ("Accepted" in February)
+    rows = [("JSCS", 2012, 1, 2, 1), ("JSCS", 2012, 2, 1, 1), ("JSCS", 2013, 12, 1, 1)]
+    shuffled = [EVENT_LINES[0], *reversed(EVENT_LINES[1:])]
+    for stream in (EVENT_LINES, shuffled, io.StringIO("\n".join(EVENT_LINES) + "\n")):
+        assert parse_events(stream, "JSCS") == rows
+    assert parse_events(EVENT_LINES, "Entropy") == [("Entropy", 2014, 3, 1, 0)]
+    assert parse_events(EVENT_LINES, "Absent") == []
 
 
 def test_parse_events_errors_carry_line_numbers():
@@ -66,6 +67,24 @@ def test_parse_events_errors_carry_line_numbers():
                       "Other,2012-02-30,accepted"], "JSCS")
 
 
+@pytest.mark.parametrize("parse, lines, message", [
+    (lambda stream: parse_events(stream, "JSCS"),
+     ["journal,submitted_at,decision", '"J', 'X",2012-01-15,accepted',
+      "JSCS,2012-01-16,accepted", "JSCS,2012-13-01,accepted"],
+     r"^invalid date '2012-13-01' at line 5: "),
+    (parse_counts,
+     ["journal,year,month,submitted,accepted", '"J', 'X",2012,1,5,3',
+      "JSCS,2012,1,5,3", "JSCS,2012,13,5,3"],
+     r"^month out of range at line 5$"),
+], ids=["events", "counts"])
+def test_errors_name_the_line_after_a_field_over_two_lines(parse, lines, message):
+    # the quoted label on lines 2-3 is one record, so the bad row, the fourth
+    # record, is on line 5
+    for stream in (lines, io.StringIO("\n".join(lines) + "\n", newline="")):
+        with pytest.raises(DataError, match=message):
+            parse(stream)
+
+
 def test_aggregate_counts_by_month_and_year():
     submitted, accepted = aggregate(parse_events(EVENT_LINES, "JSCS"), (2012, 2013))
     assert submitted.years == (2012, 2013)
@@ -92,29 +111,34 @@ def test_aggregate_default_years_span_first_to_last():
     assert aggregate(records) == aggregate(records, (2013, 2012, 2012))
     assert aggregate(records)[0].years == (2012, 2013)
     # a year without events inside the span is a zero column, not a skipped one
-    gap = [EventRecord(date(2012, 3, 1), "accepted"), EventRecord(date(2014, 5, 2), "rejected")]
+    gap = parse_events(["journal,submitted_at,decision",
+                        "J,2012-03-01,accepted", "J,2014-05-02,rejected"], "J")
+    assert gap == [("J", 2012, 3, 1, 1), ("J", 2014, 5, 1, 0)]
     submitted, accepted = aggregate(gap)
     assert submitted.years == (2012, 2013, 2014)
     assert submitted.totals == (1, 0, 1)
     assert accepted.totals == (1, 0, 0)
+    assert submitted.counts[2] == (1, 0, 0) and submitted.counts[4] == (0, 0, 1)
     assert aggregate(gap) == aggregate(gap, range(2012, 2015))
 
 
 def _parse_all_then_filter(lines, journal):
-    """Reference: build a record for every row, then keep one journal's."""
+    """Reference: read every event, then keep one journal's (date, decision)
+    pairs, in input order."""
     reader = csv.reader(lines)
     try:
-        return _records_then_filter(reader, journal)
+        return _events_then_filter(reader, journal)
     except csv.Error as exc:
         raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
-def _records_then_filter(reader, journal):
+def _events_then_filter(reader, journal):
     next(reader)
-    records = []
-    for lineno, row in enumerate(reader, start=2):
+    events = []
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         if len(row) != 3:
             raise DataError(f"expected 3 columns at line {lineno}, got {len(row)}")
         name, raw_date, raw_decision = (field.strip() for field in row)
@@ -127,8 +151,46 @@ def _records_then_filter(reader, journal):
         decision = raw_decision.lower()
         if decision not in DECISIONS:
             raise DataError(f"unknown decision {raw_decision!r} at line {lineno}")
-        records.append((name, EventRecord(submitted_at, decision)))
-    return [record for name, record in records if name == journal]
+        events.append((name, submitted_at, decision))
+    return [(submitted_at, decision) for name, submitted_at, decision in events
+            if name == journal]
+
+
+def _tally_rows(journal, events):
+    """Reference: one journal's counts rows, counted event by event."""
+    cells = {}
+    for submitted_at, decision in events:
+        cell = cells.setdefault((submitted_at.year, submitted_at.month), [0, 0])
+        cell[0] += 1
+        cell[1] += decision == "accepted"
+    return [(journal, year, month, submitted, accepted)
+            for (year, month), (submitted, accepted) in sorted(cells.items())]
+
+
+def _count_matrices(events, years):
+    """Reference: the (submitted, accepted) pair counted event by event, with
+    the year rule and the messages `aggregate` documents."""
+    if years is None:
+        present = [submitted_at.year for submitted_at, _ in events]
+        years = range(min(present), max(present) + 1) if present else ()
+    years = sorted(set(years))
+    if not years:
+        raise DataError("empty year range")
+    for a, b in zip(years, years[1:]):
+        if b != a + 1:
+            raise DataError(f"years {years[0]}-{years[-1]} are not contiguous: "
+                            f"{a + 1} is missing")
+    sub = [[0] * len(years) for _ in range(12)]
+    acc = [[0] * len(years) for _ in range(12)]
+    for submitted_at, decision in events:
+        if submitted_at.year in years:
+            j = years.index(submitted_at.year)
+            sub[submitted_at.month - 1][j] += 1
+            acc[submitted_at.month - 1][j] += decision == "accepted"
+    if not any(map(any, sub)):
+        raise DataError(f"empty selection: no events in {years[0]}-{years[-1]}")
+    return (CountMatrix(tuple(years), tuple(map(tuple, sub)), "submitted"),
+            CountMatrix(tuple(years), tuple(map(tuple, acc)), "accepted"))
 
 
 def _padded(values):
@@ -179,29 +241,55 @@ _HEADERS = _line_ends(st.sampled_from((
     '"journal",submitted_at,decision', 'journal,"submitted_at","decision"')))
 
 
+# years for aggregate around the 2012-2016 of _GOOD_ROWS: inside the span,
+# partly or wholly outside it, empty (a range of length 0), and lists that
+# may have a gap or repeats
+_YEARS = (st.none()
+          | st.builds(lambda first, n: range(first, first + n),
+                      st.integers(2008, 2018), st.integers(0, 4))
+          | st.lists(st.integers(2010, 2018), max_size=4))
+
+
 # a CR or LF inside a line that strip() removes from a field; NUL; an item
 # that is not a str
-@example(["JSCS\r,2012-01-15,accepted"], [], "JSCS", "journal,submitted_at,decision")
-@example(["JSCS,2012-01-15\n,accepted"], [], "JSCS", "journal,submitted_at,decision")
-@example(["N\0L,2012-01-15,accepted"], [], "N\0L", "journal,submitted_at,decision")
-@example(["JSCS,2012-01-15,accepted", 5], [], "JSCS", "journal,submitted_at,decision")
+@example(["JSCS\r,2012-01-15,accepted"], [], "JSCS", "journal,submitted_at,decision", None)
+@example(["JSCS,2012-01-15\n,accepted"], [], "JSCS", "journal,submitted_at,decision", None)
+@example(["N\0L,2012-01-15,accepted"], [], "N\0L", "journal,submitted_at,decision", None)
+@example(["JSCS,2012-01-15,accepted", 5], [], "JSCS", "journal,submitted_at,decision", None)
+# a year without events inside the span, and given years around it
+@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS",
+         "journal,submitted_at,decision", None)
+@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS",
+         "journal,submitted_at,decision", [2013])
+@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS",
+         "journal,submitted_at,decision", [2014, 2012])
 @given(st.lists(_GOOD_ROWS, max_size=30)
        | st.lists(_GOOD_ROWS | _CSV_ROWS | st.just(""), max_size=30),
        st.lists(st.tuples(st.integers(0, 30), _BAD_ROWS), max_size=2),
        st.sampled_from(_JOURNALS + ("J,X", "N\0L", "Absent")),
-       st.just("journal,submitted_at,decision") | _HEADERS)
-def test_parse_events_matches_parse_all_then_filter(rows, bad, journal, header):
+       st.just("journal,submitted_at,decision") | _HEADERS,
+       _YEARS)
+def test_parse_events_matches_parse_all_then_filter(rows, bad, journal, header, years):
     for position, row in bad:
         rows.insert(position, row)
     lines = [header, *rows]
     try:
-        expected = _parse_all_then_filter(lines, journal)
+        events = _parse_all_then_filter(lines, journal)
     except DataError as exc:
         with pytest.raises(DataError) as raised:
             parse_events(lines, journal)
         assert str(raised.value) == str(exc)
+        return
+    counted = parse_events(lines, journal)
+    assert counted == _tally_rows(journal, events)
+    try:
+        expected = _count_matrices(events, years)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            aggregate(counted, years)
+        assert str(raised.value) == str(exc)
     else:
-        assert parse_events(lines, journal) == expected
+        assert aggregate(counted, years) == expected
 
 
 @pytest.mark.parametrize("lines", [
@@ -218,7 +306,7 @@ def test_parse_events_matches_reference_past_the_field_limit(lines):
     old = csv.field_size_limit(12)
     try:
         try:
-            expected = _parse_all_then_filter(lines, "JSCS")
+            expected = _tally_rows("JSCS", _parse_all_then_filter(lines, "JSCS"))
         except DataError as exc:
             with pytest.raises(DataError) as raised:
                 parse_events(lines, "JSCS")
@@ -234,8 +322,10 @@ def test_parse_events_splits_clean_lists_without_csv(monkeypatch):
     clean = ["journal,submitted_at,decision"] + [
         f"{('JSCS', 'Entropy')[i % 2]},2012-{i % 12 + 1:02d}-{i % 28 + 1:02d},"
         f"{DECISIONS[i % 3 == 0]}" for i in range(1000)]
-    expected = _parse_all_then_filter(clean, "JSCS")
-    assert len(expected) == 500
+    expected = _tally_rows("JSCS", _parse_all_then_filter(clean, "JSCS"))
+    # 500 JSCS events in the six odd months of 2012
+    assert [row[2] for row in expected] == [1, 3, 5, 7, 9, 11]
+    assert sum(row[3] for row in expected) == 500
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader called")

@@ -1,19 +1,16 @@
-"""The value types: immutable named tuples, three of which check their fields."""
+"""The value types: immutable named tuples, two of which check their fields."""
 
 import re
-from datetime import date
 
 import pytest
 
 import seasonstats
 from seasonstats import (AnalysisBundle, AnalysisOptions, CountMatrix, DataError,
-                         DescriptiveStats, EventRecord, MonthTable, NamedDocument,
+                         DescriptiveStats, MonthTable, NamedDocument,
                          SpectralPeak, describe, render)
 
 # (type, valid fields in field order, field to break, bad value, error, message)
 VALIDATED = [
-    (EventRecord, {"submitted_at": date(2012, 1, 15), "decision": "accepted"},
-     "decision", "Accepted", DataError, "unknown decision 'Accepted'"),
     (CountMatrix, {"years": (2012,), "counts": ((1,),) * 12, "outcome": "submitted"},
      "counts", ((1,),) * 11, DataError, "count matrix must have 12 month rows"),
     (AnalysisOptions, {"q_orders": (1.0, 2.0), "precision": 5, "t_null": 0.1,
