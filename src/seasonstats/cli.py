@@ -105,18 +105,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"analyze: cannot read input: {exc}", file=sys.stderr)
         return 2
-    # csv ends a record only at \r\n, \r and \n; str.splitlines also breaks
-    # at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
 
     try:
         years = None if args.years is None else _parse_years(args.years)
         if args.format == "events":
-            events = parse_events(lines, args.journal)
+            events = parse_events(text, args.journal)
             if not events:
                 raise DataError(f"empty selection: no rows for journal {args.journal!r}")
             submitted, accepted = aggregate(events, years)
@@ -124,7 +117,7 @@ def main(argv=None) -> int:
             if warning:
                 print(warning, file=sys.stderr)
         else:
-            rows = parse_counts(lines)
+            rows = parse_counts(text)
             submitted, accepted = matrices_from_counts(rows, args.journal, years)
         options = AnalysisOptions(
             q_orders=_parse_orders(args.q),

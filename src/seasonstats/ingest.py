@@ -8,10 +8,11 @@ every (submitted, accepted) matrix pair.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from contextlib import contextmanager
 from datetime import MAXYEAR, MINYEAR, date
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 MONTHS_PER_YEAR = 12
@@ -19,6 +20,10 @@ DECISIONS = ("accepted", "rejected")
 
 EVENT_HEADER = ("journal", "submitted_at", "decision")
 COUNTS_HEADER = ("journal", "year", "month", "submitted", "accepted")
+
+# characters of events text `_split_events` splits at a time: a chunk ends at
+# a line end, and its field list stays small whatever the size of the text
+_CHUNK = 1 << 16
 
 
 class DataError(ValueError):
@@ -115,83 +120,129 @@ def _iso_month(field: str) -> tuple:
     return day.year, day.month
 
 
-def _tally(journal: str, events: list) -> list:
-    """Counts rows (journal, year, month, submitted, accepted) of `events`,
-    a list of ((year, month), decision) pairs: one row per month, in date order."""
-    tally = Counter(events)
+def _tally(journal: str, tally: Counter) -> list:
+    """Counts rows (journal, year, month, submitted, accepted) from a tally of
+    ((year, month), decision) pairs: one row per month, in date order."""
     return [(journal, *month, tally[month, "accepted"] + tally[month, "rejected"],
              tally[month, "accepted"]) for month in sorted({month for month, _ in tally})]
 
 
-def _split_events(lines: list, journal: str) -> "list | None":
-    """`parse_events` on lines split at each comma with `str.split`, or None
-    at the first row this cannot vouch for (a blank line, a wrong column
-    count, a bad date or decision) and when a field holds a quote, NUL, CR
-    or LF or is longer than `csv.field_size_limit()`.
+def _csv_reader(stream: "str | Iterable[str]"):
+    """A csv reader over `stream`; decoded text is read as a `newline=""` handle reads it."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream, newline="")
+    return csv.reader(stream)
 
-    Without those four characters and within the limit, a line splits at
-    every comma exactly as `csv.reader` splits it under the excel dialect,
-    and raises no `csv.Error`. Every field of every row is a key of one of
-    the three memos, so checking the header and the distinct keys checks
-    every field.
+
+def _split_events(text: str, journal: str) -> "Counter | None":
+    """`parse_events` on decoded text split at its commas with `str.split`:
+    `journal`'s tally of ((year, month), decision) pairs, or None when this
+    cannot vouch for the text (a quote, NUL or CR outside a CRLF anywhere, a
+    blank line, a wrong column count, a bad date or decision, a field longer
+    than `csv.field_size_limit()`).
+
+    Without quotes, NUL and CR, `csv.reader` under the excel dialect ends a
+    record at each LF and splits it at every comma, and raises no `csv.Error`
+    within the field limit; a CRLF ends a record as an LF does. The lines
+    after the header are split in chunks of whole lines, about `_CHUNK`
+    characters each. A chunk of n rows of three fields splits into 2n + 1
+    fields: the dates at the odd positions, the first row's journal first,
+    the last row's decision last, and between them each decision joined by
+    an LF to the next row's journal. Conversely, when the first and last
+    fields and every date hold no LF and every field between them at an even
+    position holds exactly one, each of the chunk's lines has exactly two
+    commas. Each distinct date, decision and journal field is then checked
+    once. `journal`'s rows are found by their line start, an LF and a raw
+    journal field that strips to `journal`.
     """
-    months = {}
-    decisions = {}
-    journals = {}  # raw journal field -> whether it is `journal`
-    events = []
-    rows = map(str.split, lines, repeat(","))
-    # a ValueError is a row that does not unpack to three fields or a bad
-    # date; a TypeError is an item that is not a str
-    try:
-        header = next(rows, None)
-        if header is None or tuple(h.strip().lower() for h in header) != EVENT_HEADER:
-            return None
-        for raw_journal, raw_date, raw_decision in rows:
-            month = months.get(raw_date)
-            if month is None:
-                month = months[raw_date] = _iso_month(raw_date.strip())
-            decision = decisions.get(raw_decision)
-            if decision is None:
-                decision = raw_decision.strip().lower()
-                if decision not in DECISIONS:
-                    return None
-                decisions[raw_decision] = decision
-            mine = journals.get(raw_journal)
-            if mine is None:
-                mine = journals[raw_journal] = raw_journal.strip() == journal
-            if mine:
-                events.append((month, decision))
-    except (TypeError, ValueError):
+    if '"' in text or "\0" in text:
         return None
-    limit = csv.field_size_limit()
-    for field in chain(header, months, decisions, journals):
-        if (len(field) > limit or '"' in field or "\0" in field
-                or "\r" in field or "\n" in field):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
             return None
-    return events
+    header_line = text.partition("\n")[0]
+    header = header_line.split(",")
+    if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
+        return None
+    start = len(header_line)  # the header's LF, which every row follows
+    end = len(text) - text.endswith("\n")
+    dates = set()
+    joined = set()  # a decision, an LF and the next row's journal
+    decisions = set()
+    journals = set()
+    pos = start + 1
+    while pos < end:
+        stop = text.find("\n", pos + _CHUNK, end)
+        if stop < 0:
+            stop = end
+        fields = text[pos:stop].split(",")
+        if len(fields) < 3 or not len(fields) % 2:
+            return None
+        journals.add(fields[0])
+        dates.update(fields[1::2])
+        joined.update(fields[2:-1:2])
+        decisions.add(fields[-1])
+        pos = stop + 1
+    for field in joined:
+        decision, lf, label = field.partition("\n")
+        if not lf:
+            return None
+        decisions.add(decision)
+        journals.add(label)
+    limit = csv.field_size_limit()
+    for field in chain(header, dates, decisions, journals):
+        if len(field) > limit or "\n" in field:
+            return None
+    try:
+        months = {raw: _iso_month(raw.strip()) for raw in dates}
+    except ValueError:
+        return None
+    decision_of = {raw: raw.strip().lower() for raw in decisions}
+    if any(decision not in DECISIONS for decision in decision_of.values()):
+        return None
+    rests = []  # the date and decision of each of `journal`'s rows
+    for label in journals:
+        if label.strip() != journal:
+            continue
+        needle = "\n" + label + ","
+        i = text.find(needle, start)
+        while i >= 0:
+            i += len(needle)
+            j = text.find("\n", i)
+            if j < 0:
+                j = len(text)
+            rests.append(text[i:j])
+            i = text.find(needle, j)
+    tally = Counter()
+    for rest, count in Counter(rests).items():
+        raw_date, raw_decision = rest.split(",")
+        tally[months[raw_date], decision_of[raw_decision]] += count
+    return tally
 
 
-def parse_events(stream: Iterable[str], journal: str) -> list:
+def parse_events(stream: "str | Iterable[str]", journal: str) -> list:
     """Parse event-level CSV with header journal,submitted_at,decision into
     `journal`'s counts rows (journal, year, month, submitted, accepted), the
     shape `parse_counts` returns: one row per month that has events, in date
-    order.
+    order. `stream` is decoded text, as `cli.main` passes, read as a
+    `newline=""` handle reads it, or a file handle or list of lines.
 
     Every row is validated (column count, YYYY-MM-DD date, decision, in that
     order), but only rows of `journal` are counted. Dates and decisions
     repeat heavily, so each distinct raw field is checked once per parse.
     Errors name the line a row ends on.
 
-    A list of lines, as `cli.main` passes, is first split at its commas by
-    `_split_events`; a file handle, quoted input and any input with a bad
-    row go through `csv.reader`, which alone reports errors, so messages
-    and line numbers are the same on both paths.
+    Decoded text is first split at its commas by `_split_events`; a list, a
+    handle, quoted text and any text with a bad row go through `csv.reader`,
+    which alone reports errors, so messages and line numbers are the same on
+    both paths.
     """
-    if isinstance(stream, list):
-        events = _split_events(stream, journal)
-        if events is not None:
-            return _tally(journal, events)
-    reader = csv.reader(stream)
+    if isinstance(stream, str):
+        tally = _split_events(stream, journal)
+        if tally is not None:
+            return _tally(journal, tally)
+    reader = _csv_reader(stream)
     with _reader_errors(reader):
         try:
             header = next(reader)
@@ -225,7 +276,7 @@ def parse_events(stream: Iterable[str], journal: str) -> list:
                 decisions[raw_decision] = decision
             if raw_journal.strip() == journal:
                 events.append((month, decision))
-    return _tally(journal, events)
+    return _tally(journal, Counter(events))
 
 
 def _matrices(cells: dict, years: tuple) -> tuple:
@@ -248,12 +299,14 @@ def aggregate(rows: Sequence[tuple], years: "Sequence[int] | None" = None) -> tu
     return submitted, accepted
 
 
-def parse_counts(stream: Iterable[str]) -> list:
-    """Parse counts CSV with header journal,year,month,submitted,accepted.
+def parse_counts(stream: "str | Iterable[str]") -> list:
+    """Parse counts CSV with header journal,year,month,submitted,accepted from
+    decoded text, read as a `newline=""` handle reads it, or from a file
+    handle or list of lines; all go through `csv.reader`.
 
     Errors name the line a row ends on.
     """
-    reader = csv.reader(stream)
+    reader = _csv_reader(stream)
     with _reader_errors(reader):
         try:
             header = next(reader)

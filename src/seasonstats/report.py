@@ -124,6 +124,10 @@ class AnalysisOptions(_OptionFields):
             raise DataError("precision must be an integer") from None
         if not 1 <= places <= 12:
             raise DataError("precision must lie in 1..12")
+        if any(math.isnan(q) for q in q_orders):
+            # q < 0 is false for NaN
+            raise DataError("diversity orders must not be NaN: an order that is not finite "
+                            "must be inf")
         if any(q < 0 for q in q_orders):
             raise DataError("diversity orders must be non-negative")
         q_orders = tuple(abs(q) if q == 0 else q for q in q_orders)  # -0.0 labels D-0

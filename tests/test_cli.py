@@ -356,16 +356,26 @@ def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
     assert not (tmp_path / "x").exists()
 
 
+def _complete_rows(input_format):
+    """Rows of journal JSCS that make a whole analysis: 2012, 11 to 22
+    submissions a month, 1 to 3 of them accepted."""
+    if input_format == "counts":
+        return [f"JSCS,2012,{m},{10 + m},{m % 3 + 1}" for m in range(1, 13)]
+    return [f"JSCS,2012-{m:02d}-01,{'accepted' if i <= m % 3 else 'rejected'}"
+            for m in range(1, 13) for i in range(10 + m)]
+
+
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("separator", ["\f", "\u2028", "\n"])
+@pytest.mark.parametrize("separator", ["\f", "\u2028", "\n", "\r", "\r\n"])
 @pytest.mark.parametrize("input_format", sorted(_SHAPES))
-def test_line_numbers_follow_csv_records(tmp_path, input_format, separator, line_end):
+def test_line_numbers_follow_csv_records(tmp_path, capsys, input_format, separator, line_end):
     # str.splitlines also breaks at \f and \u2028, which csv reads as field
     # text: line 3 is a valid row, and the error is the one on line 4; a
     # quoted label over lines 3-4 is one record, and the error is on line 5
     header, row = _SHAPES[input_format]
     bad = {"events": "JSCS,2012-13-01,accepted", "counts": "JSCS,2012,13,5,3"}[input_format]
-    label, line = ('"J\nX"', 5) if separator == "\n" else (f"J{separator}X", 4)
+    spans_lines = separator in ("\n", "\r", "\r\n")
+    label, line = (f'"J{separator}X"', 5) if spans_lines else (f"J{separator}X", 4)
     lines = [header, row, row.replace("JSCS", label), bad]
     path = tmp_path / "input.csv"
     path.write_text(line_end.join(lines) + line_end, encoding="utf-8", newline="")
@@ -378,6 +388,17 @@ def test_line_numbers_follow_csv_records(tmp_path, input_format, separator, line
     assert result.returncode == 1
     assert result.stderr == f"analyze: {raised.value}\n"
     assert not (tmp_path / "x").exists()
+    if not spans_lines:
+        return
+    # the quoted label keeps its line end, as a newline="" handle reads it
+    lines = [header, *(r.replace("JSCS", label) for r in _complete_rows(input_format))]
+    path.write_text(line_end.join(lines) + line_end, encoding="utf-8", newline="")
+    argv = ["--input", path, "--format", input_format]
+    assert _run([*argv, "--journal", f"J{separator}X", "--out", tmp_path / "six"]) == 0
+    assert len(list((tmp_path / "six").iterdir())) == 6
+    assert _run([*argv, "--journal", "JX", "--out", tmp_path / "none"]) == 1
+    assert capsys.readouterr().err == "analyze: empty selection: no rows for journal 'JX'\n"
+    assert not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("exponent", [200, 400])

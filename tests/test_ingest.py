@@ -3,6 +3,7 @@
 import csv
 import io
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -35,7 +36,8 @@ def test_parse_events_basic():
     # case-insensitive ("Accepted" in February)
     rows = [("JSCS", 2012, 1, 2, 1), ("JSCS", 2012, 2, 1, 1), ("JSCS", 2013, 12, 1, 1)]
     shuffled = [EVENT_LINES[0], *reversed(EVENT_LINES[1:])]
-    for stream in (EVENT_LINES, shuffled, io.StringIO("\n".join(EVENT_LINES) + "\n")):
+    for stream in (EVENT_LINES, shuffled, "\n".join(shuffled),
+                   io.StringIO("\n".join(EVENT_LINES) + "\n")):
         assert parse_events(stream, "JSCS") == rows
     assert parse_events(EVENT_LINES, "Entropy") == [("Entropy", 2014, 3, 1, 0)]
     assert parse_events(EVENT_LINES, "Absent") == []
@@ -80,7 +82,8 @@ def test_parse_events_errors_carry_line_numbers():
 def test_errors_name_the_line_after_a_field_over_two_lines(parse, lines, message):
     # the quoted label on lines 2-3 is one record, so the bad row, the fourth
     # record, is on line 5
-    for stream in (lines, io.StringIO("\n".join(lines) + "\n", newline="")):
+    text = "\n".join(lines) + "\n"
+    for stream in (lines, text, io.StringIO(text, newline="")):
         with pytest.raises(DataError, match=message):
             parse(stream)
 
@@ -232,7 +235,8 @@ _BAD_ROWS = st.one_of(
     st.tuples(_padded(_JOURNALS), st.just("2012-01-15"),
               _padded(("maybe", "", "accept", "acceptéd"))).map(",".join),
     st.sampled_from(("JSCS,2012-01-15", "JSCS,2012-01-15,accepted,x", "JSCS", "\"a,b\",c",
-                     "J,X,2012-01-15,accepted", "JSCS\r,2012-01-15,accepted",
+                     "J,X,2012-01-15,accepted", "JSCS,2012-01-15,accepted,2012-01-16,rejected",
+                     "JSCS\r,2012-01-15,accepted",
                      "JSCS,2012-01-15\n,accepted", "JSCS,\"2012-01-15,accepted",
                      "JS\"CS,2012-01-15,accepted")),
 )
@@ -250,46 +254,79 @@ _YEARS = (st.none()
           | st.lists(st.integers(2010, 2018), max_size=4))
 
 
-# a CR or LF inside a line that strip() removes from a field; NUL; an item
-# that is not a str
-@example(["JSCS\r,2012-01-15,accepted"], [], "JSCS", "journal,submitted_at,decision", None)
-@example(["JSCS,2012-01-15\n,accepted"], [], "JSCS", "journal,submitted_at,decision", None)
-@example(["N\0L,2012-01-15,accepted"], [], "N\0L", "journal,submitted_at,decision", None)
-@example(["JSCS,2012-01-15,accepted", 5], [], "JSCS", "journal,submitted_at,decision", None)
+# the fast path splits text a chunk of whole lines at a time: one line or
+# two, and the default size
+_CHUNKS = (1, 40, ingest._CHUNK)
+_HEADER = "journal,submitted_at,decision"
+
+
+def _parse_text(text, journal):
+    """`parse_events` on text at every chunk size; the one result or DataError message."""
+    results = set()
+    for size in _CHUNKS:
+        with mock.patch.object(ingest, "_CHUNK", size):
+            try:
+                results.add(tuple(parse_events(text, journal)))
+            except DataError as exc:
+                results.add(str(exc))
+    assert len(results) == 1, results
+    return results.pop()
+
+
+# a CR or LF inside a line that strip() removes from a field; NUL; lines
+# that end with CRLF but for the last, which ends with CR unless the LF
+# after the body follows it
+@example(["JSCS,2012-01-15,accepted\r", "JSCS,2012-02-15,rejected\r"], [], "JSCS",
+         _HEADER + "\r", None)
+@example(["JSCS\r,2012-01-15,accepted"], [], "JSCS", _HEADER, None)
+@example(["JSCS,2012-01-15\n,accepted"], [], "JSCS", _HEADER, None)
+@example(["N\0L,2012-01-15,accepted"], [], "N\0L", _HEADER, None)
+# two 2-field lines, which split at their commas into the three fields of one
+# row; lines of one and five fields; a blank line; the header alone; two LFs
+# at the end
+@example(["J07,", "2012-01-15,accepted"], [], "J07", _HEADER, None)
+@example(["accepted"], [], "accepted", _HEADER, None)
+@example(["JSCS,2012-01-15,accepted,2012-01-16,rejected"], [], "Absent", _HEADER, None)
+@example(["JSCS,2012-01-15,accepted", "accepted"], [], "accepted", _HEADER, None)
+@example(["JSCS,2012-01-15,accepted", "", "JSCS,2012-02-15,rejected"], [], "JSCS", _HEADER, None)
+@example([], [], "JSCS", _HEADER, None)
+@example(["JSCS,2012-01-15,accepted", ""], [], "JSCS", _HEADER, None)
+# a label that is a prefix of another, and padded labels
+@example(["J0,2012-01-15,accepted", "J07,2012-02-15,rejected", "J0,2012-03-15,rejected"],
+         [], "J0", _HEADER, None)
+@example([" JSCS,2012-01-15,accepted", "JSCS ,2012-02-15,rejected", "JSCS,2012-03-15,accepted",
+          "\tJSCS\t,2012-03-16,Accepted", "JSCSX,2012-03-17,accepted"], [], "JSCS", _HEADER, None)
 # a year without events inside the span, and given years around it
-@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS",
-         "journal,submitted_at,decision", None)
-@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS",
-         "journal,submitted_at,decision", [2013])
-@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS",
-         "journal,submitted_at,decision", [2014, 2012])
+@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS", _HEADER, None)
+@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS", _HEADER, [2013])
+@example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS", _HEADER,
+         [2014, 2012])
 @given(st.lists(_GOOD_ROWS, max_size=30)
        | st.lists(_GOOD_ROWS | _CSV_ROWS | st.just(""), max_size=30),
        st.lists(st.tuples(st.integers(0, 30), _BAD_ROWS), max_size=2),
        st.sampled_from(_JOURNALS + ("J,X", "N\0L", "Absent")),
-       st.just("journal,submitted_at,decision") | _HEADERS,
+       st.just(_HEADER) | _HEADERS,
        _YEARS)
 def test_parse_events_matches_parse_all_then_filter(rows, bad, journal, header, years):
     for position, row in bad:
         rows.insert(position, row)
-    lines = [header, *rows]
-    try:
-        events = _parse_all_then_filter(lines, journal)
-    except DataError as exc:
-        with pytest.raises(DataError) as raised:
-            parse_events(lines, journal)
-        assert str(raised.value) == str(exc)
-        return
-    counted = parse_events(lines, journal)
-    assert counted == _tally_rows(journal, events)
-    try:
-        expected = _count_matrices(events, years)
-    except DataError as exc:
-        with pytest.raises(DataError) as raised:
-            aggregate(counted, years)
-        assert str(raised.value) == str(exc)
-    else:
-        assert aggregate(counted, years) == expected
+    body = "\n".join([header, *rows])
+    for text in (body, body + "\n"):
+        try:
+            events = _parse_all_then_filter(io.StringIO(text, newline=""), journal)
+        except DataError as exc:
+            assert _parse_text(text, journal) == str(exc)
+            continue
+        counted = list(_parse_text(text, journal))
+        assert counted == _tally_rows(journal, events)
+        try:
+            expected = _count_matrices(events, years)
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                aggregate(counted, years)
+            assert str(raised.value) == str(exc)
+        else:
+            assert aggregate(counted, years) == expected
 
 
 @pytest.mark.parametrize("lines", [
@@ -305,20 +342,21 @@ def test_parse_events_matches_reference_past_the_field_limit(lines):
     # DataError with its line; one of exactly the limit is read
     old = csv.field_size_limit(12)
     try:
-        try:
-            expected = _tally_rows("JSCS", _parse_all_then_filter(lines, "JSCS"))
-        except DataError as exc:
-            with pytest.raises(DataError) as raised:
-                parse_events(lines, "JSCS")
-            assert str(raised.value) == str(exc)
-            assert str(exc).endswith("field larger than field limit (12)")
-        else:
-            assert parse_events(lines, "JSCS") == expected
+        for stream in (lines, "\n".join(lines)):
+            try:
+                expected = _tally_rows("JSCS", _parse_all_then_filter(lines, "JSCS"))
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    parse_events(stream, "JSCS")
+                assert str(raised.value) == str(exc)
+                assert str(exc).endswith("field larger than field limit (12)")
+            else:
+                assert parse_events(stream, "JSCS") == expected
     finally:
         csv.field_size_limit(old)
 
 
-def test_parse_events_splits_clean_lists_without_csv(monkeypatch):
+def test_parse_events_splits_clean_text_without_csv(monkeypatch):
     clean = ["journal,submitted_at,decision"] + [
         f"{('JSCS', 'Entropy')[i % 2]},2012-{i % 12 + 1:02d}-{i % 28 + 1:02d},"
         f"{DECISIONS[i % 3 == 0]}" for i in range(1000)]
@@ -326,16 +364,26 @@ def test_parse_events_splits_clean_lists_without_csv(monkeypatch):
     # 500 JSCS events in the six odd months of 2012
     assert [row[2] for row in expected] == [1, 3, 5, 7, 9, 11]
     assert sum(row[3] for row in expected) == 500
+    text = "\n".join(clean) + "\n"
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader called")
 
-    monkeypatch.setattr(ingest.csv, "reader", refuse)
-    assert parse_events(clean, "JSCS") == expected
-    quoted = [clean[0], '"JSCS",2012-01-15,accepted', *clean[1:]]
-    for stream in (quoted, io.StringIO("\n".join(clean) + "\n")):
-        with pytest.raises(AssertionError, match="csv.reader called"):
-            parse_events(stream, "JSCS")
+    with monkeypatch.context() as patched:
+        patched.setattr(ingest.csv, "reader", refuse)
+        # the 24 kB of rows in one chunk, and in chunks of one to a few lines
+        for size in (ingest._CHUNK, 1, 100):
+            patched.setattr(ingest, "_CHUNK", size)
+            for stream in (text, text[:-1], text.replace("\n", "\r\n")):
+                assert parse_events(stream, "JSCS") == expected
+        quoted = text.replace("\nJSCS,", '\n"JSCS",', 1)
+        lone_cr = text.replace("\n", "\r\n").replace("\r\n", "\r", 1)
+        for stream in (quoted, lone_cr, io.StringIO(text), clean):
+            with pytest.raises(AssertionError, match="csv.reader called"):
+                parse_events(stream, "JSCS")
+    # two 2-field lines split at their commas into three fields, as one row does
+    with pytest.raises(DataError, match="^expected 3 columns at line 2, got 2$"):
+        parse_events(f"{clean[0]}\nJ07,\n2012-01-15,accepted\n", "J07")
 
 
 def test_count_matrix_validation():

@@ -206,6 +206,11 @@ def test_options_validation():
             AnalysisOptions(precision=precision)
     with pytest.raises(DataError, match="non-negative"):
         AnalysisOptions(q_orders=(1.0, -2.0))
+    # q < 0 is false for NaN, which the index block would refuse only later
+    for orders in ((math.nan,), (1.0, -math.nan), (-1.0, math.nan)):
+        with pytest.raises(DataError, match="^diversity orders must not be NaN: .* not finite "):
+            AnalysisOptions(q_orders=orders)
+    assert AnalysisOptions(q_orders=(0.0, math.inf)).q_orders == (0.0, math.inf)
     for orders, message in (((1.0, 1.0, 2.0), "1.0 and 1.0 share the row label D1"),
                             ((0.1234567, 0.1234568),
                              "0.1234567 and 0.1234568 share the row label D0.123457"),
