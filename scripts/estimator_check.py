@@ -24,8 +24,7 @@ from seasonstats.report import build_bundle  # noqa: E402
 
 
 def main():
-    rows = parse_counts((ROOT / "data" / "journal_counts.csv")
-                        .read_text(encoding="utf-8").splitlines())
+    rows = parse_counts((ROOT / "data" / "journal_counts.csv").read_text(encoding="utf-8-sig"))
     bundles = [build_bundle(*matrices_from_counts(rows, journal))
                for journal in ("JSCS", "Entropy")]
     labels = [f"JSCS {y}" for y in rv.JSCS_YEARS] + ["JSCS cum"] \

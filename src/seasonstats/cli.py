@@ -12,8 +12,8 @@ from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 
 from . import __version__
-from .ingest import (MONTHS_PER_YEAR, DataError, aggregate, matrices_from_counts, parse_counts,
-                     parse_events)
+from .ingest import (MONTHS_PER_YEAR, DataError, _plain_numbers, aggregate, matrices_from_counts,
+                     parse_counts, parse_events)
 from .report import FORMATS, AnalysisOptions, build_bundle, render
 
 class _Parser(argparse.ArgumentParser):
@@ -22,15 +22,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(convert):
+    """`convert` (int or float) of `_plain_numbers` text, under its name for argparse's messages."""
+    def number(text: str):
+        if not _plain_numbers(text):
+            raise ValueError(text)
+        return convert(text)
+    number.__name__ = convert.__name__
+    return number
+
+
+_int, _float = _number(int), _number(float)
+
+
 def _parse_years(text: str) -> tuple:
-    parts = text.split(":")
+    first, colon, last = text.partition(":")
     try:
-        if len(parts) == 1:
-            first = last = int(parts[0])
-        elif len(parts) == 2:
-            first, last = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
+        first = _int(first)
+        last = _int(last) if colon else first
     except ValueError:
         raise DataError(f"invalid year range {text!r}, expected y0:y1") from None
     if last < first:
@@ -41,10 +50,9 @@ def _parse_years(text: str) -> tuple:
 
 def _parse_orders(text: str) -> tuple:
     try:
-        orders = tuple(float(part) for part in text.split(","))
+        return tuple(_float(part) for part in text.split(","))
     except ValueError:
         raise DataError(f"invalid diversity orders {text!r}, expected a comma list") from None
-    return orders
 
 
 def _coverage_warning(submitted) -> "str | None":
@@ -61,6 +69,7 @@ def _coverage_warning(submitted) -> "str | None":
 
 
 def build_parser() -> _Parser:
+    defaults = AnalysisOptions()
     parser = _Parser(prog="analyze",
                      description="Seasonal analysis of monthly submission and acceptance counts.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -70,18 +79,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--journal", required=True, help="journal label to select")
     parser.add_argument("--years", default=None,
                         help="inclusive year range y0:y1 (default: the journal's first to last year)")
-    parser.add_argument("--q", default="1,2",
-                        help="comma list of Hill diversity orders (default 1,2)")
-    parser.add_argument("--precision", type=int, default=5,
-                        help="decimal places in rendered tables (default 5)")
+    parser.add_argument("--q", default=",".join(f"{q:g}" for q in defaults.q_orders),
+                        help="comma list of Hill diversity orders (default %(default)s)")
+    parser.add_argument("--precision", type=_int, default=defaults.precision,
+                        help="decimal places in rendered tables (default %(default)s)")
     parser.add_argument("--emit", default="csv", choices=FORMATS,
                         help="output document format (default csv)")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
-    parser.add_argument("--t-null", type=float, default=0.0833333, dest="t_null",
-                        help="hypothesized mean for the t rows (default 1/12)")
-    parser.add_argument("--z-sigma", type=float, default=None, dest="z_sigma",
+    parser.add_argument("--t-null", type=_float, default=defaults.t_null, dest="t_null",
+                        help="hypothesized mean for the t rows (default %(default)s)")
+    parser.add_argument("--z-sigma", type=_float, default=None, dest="z_sigma",
                         help="known sigma for the z rows (needs --z-null)")
-    parser.add_argument("--z-null", type=float, default=None, dest="z_null",
+    parser.add_argument("--z-null", type=_float, default=None, dest="z_null",
                         help="hypothesized mean for the z rows (needs --z-sigma)")
     return parser
 
@@ -119,13 +128,8 @@ def main(argv=None) -> int:
         else:
             rows = parse_counts(text)
             submitted, accepted = matrices_from_counts(rows, args.journal, years)
-        options = AnalysisOptions(
-            q_orders=_parse_orders(args.q),
-            precision=args.precision,
-            t_null=args.t_null,
-            z_sigma=args.z_sigma,
-            z_null=args.z_null,
-        )
+        options = AnalysisOptions(q_orders=_parse_orders(args.q), precision=args.precision,
+                                  t_null=args.t_null, z_sigma=args.z_sigma, z_null=args.z_null)
         bundle = build_bundle(submitted, accepted, options, journal=args.journal)
         documents = render(bundle, args.emit)
     except DataError as exc:

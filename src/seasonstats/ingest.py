@@ -100,14 +100,9 @@ def _year_span(present: Iterable[int], years: "Sequence[int] | None") -> tuple:
     return years
 
 
-@contextmanager
-def _reader_errors(reader):
-    """A csv reader error (a field longer than csv.field_size_limit(), a NUL
-    byte before Python 3.11) as a DataError at the reader's line."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+def _plain_numbers(text: str) -> bool:
+    """False for text with `_` or non-ASCII (`1_0`, `١٢`), both of which int() and float() read."""
+    return "_" not in text and text.isascii()
 
 
 def _iso_month(field: str) -> tuple:
@@ -127,19 +122,33 @@ def _tally(journal: str, tally: Counter) -> list:
              tally[month, "accepted"]) for month in sorted({month for month, _ in tally})]
 
 
-def _csv_reader(stream: "str | Iterable[str]"):
-    """A csv reader over `stream`; decoded text is read as a `newline=""` handle reads it."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream, newline="")
-    return csv.reader(stream)
+def _is_header(fields: Sequence[str], header: tuple) -> bool:
+    """Whether a record's fields name `header`, ignoring case and surrounding whitespace."""
+    return tuple(f.strip().lower() for f in fields) == header
+
+
+@contextmanager
+def _csv_records(text: str, header: tuple):
+    """A csv reader over `text`, read as a `newline=""` handle reads it, past a header row
+    naming `header`; a csv.Error in the block (field limit, NUL before 3.11) is a DataError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise DataError("empty input, expected a header row")
+        if not _is_header(first, header):
+            raise DataError(f"expected header {','.join(header)} at line 1")
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
 def _split_events(text: str, journal: str) -> "Counter | None":
-    """`parse_events` on decoded text split at its commas with `str.split`:
-    `journal`'s tally of ((year, month), decision) pairs, or None when this
-    cannot vouch for the text (a quote, NUL or CR outside a CRLF anywhere, a
-    blank line, a wrong column count, a bad date or decision, a field longer
-    than `csv.field_size_limit()`).
+    """The fast path of `parse_events`: `journal`'s tally of ((year, month),
+    decision) pairs from the text split at its commas with `str.split`, or None
+    when this cannot vouch for the text (a quote, NUL or CR outside a CRLF, a
+    wrong header, a blank line, a wrong column count, a bad date or decision, a
+    field longer than `csv.field_size_limit()`), for `csv.reader` to read it.
 
     Without quotes, NUL and CR, `csv.reader` under the excel dialect ends a
     record at each LF and splits it at every comma, and raises no `csv.Error`
@@ -163,7 +172,7 @@ def _split_events(text: str, journal: str) -> "Counter | None":
             return None
     header_line = text.partition("\n")[0]
     header = header_line.split(",")
-    if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
+    if not _is_header(header, EVENT_HEADER):
         return None
     start = len(header_line)  # the header's LF, which every row follows
     end = len(text) - text.endswith("\n")
@@ -221,35 +230,25 @@ def _split_events(text: str, journal: str) -> "Counter | None":
     return tally
 
 
-def parse_events(stream: "str | Iterable[str]", journal: str) -> list:
+def parse_events(text: str, journal: str) -> list:
     """Parse event-level CSV with header journal,submitted_at,decision into
     `journal`'s counts rows (journal, year, month, submitted, accepted), the
     shape `parse_counts` returns: one row per month that has events, in date
-    order. `stream` is decoded text, as `cli.main` passes, read as a
-    `newline=""` handle reads it, or a file handle or list of lines.
+    order. `text` is the decoded text of the file, read as a `newline=""`
+    handle reads it; anything but a `str` raises TypeError unread.
 
     Every row is validated (column count, YYYY-MM-DD date, decision, in that
-    order), but only rows of `journal` are counted. Dates and decisions
-    repeat heavily, so each distinct raw field is checked once per parse.
-    Errors name the line a row ends on.
-
-    Decoded text is first split at its commas by `_split_events`; a list, a
-    handle, quoted text and any text with a bad row go through `csv.reader`,
-    which alone reports errors, so messages and line numbers are the same on
-    both paths.
+    order), but only rows of `journal` are counted, and each distinct raw
+    date and decision is checked once. `_split_events` reads clean text;
+    quoted text and text with a bad row go through `csv.reader`, which alone
+    reports errors, naming the line a row ends on.
     """
-    if isinstance(stream, str):
-        tally = _split_events(stream, journal)
-        if tally is not None:
-            return _tally(journal, tally)
-    reader = _csv_reader(stream)
-    with _reader_errors(reader):
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input, expected a header row") from None
-        if tuple(h.strip().lower() for h in header) != EVENT_HEADER:
-            raise DataError(f"expected header {','.join(EVENT_HEADER)} at line 1")
+    if not isinstance(text, str):
+        raise TypeError(f"parse_events takes decoded text (str), not {type(text).__name__}")
+    tally = _split_events(text, journal)
+    if tally is not None:
+        return _tally(journal, tally)
+    with _csv_records(text, EVENT_HEADER) as reader:
         months = {}
         decisions = {}
         events = []
@@ -299,30 +298,26 @@ def aggregate(rows: Sequence[tuple], years: "Sequence[int] | None" = None) -> tu
     return submitted, accepted
 
 
-def parse_counts(stream: "str | Iterable[str]") -> list:
+def parse_counts(text: str) -> list:
     """Parse counts CSV with header journal,year,month,submitted,accepted from
-    decoded text, read as a `newline=""` handle reads it, or from a file
-    handle or list of lines; all go through `csv.reader`.
-
-    Errors name the line a row ends on.
+    the decoded text of the file, read through `csv.reader` as a `newline=""`
+    handle reads it; anything but a `str` raises TypeError unread. Year, month
+    and counts are ASCII integers. Errors name the line a row ends on.
     """
-    reader = _csv_reader(stream)
-    with _reader_errors(reader):
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input, expected a header row") from None
-        if tuple(h.strip().lower() for h in header) != COUNTS_HEADER:
-            raise DataError(f"expected header {','.join(COUNTS_HEADER)} at line 1")
+    if not isinstance(text, str):
+        raise TypeError(f"parse_counts takes decoded text (str), not {type(text).__name__}")
+    with _csv_records(text, COUNTS_HEADER) as reader:
         rows = []
         for row in reader:
             if not row:
                 continue
             if len(row) != 5:
                 raise DataError(f"expected 5 columns at line {reader.line_num}, got {len(row)}")
-            journal = row[0].strip()
+            journal, *numbers = row
             try:
-                year, month, submitted, accepted = (int(v) for v in row[1:])
+                if not _plain_numbers("".join(numbers)):
+                    raise ValueError
+                year, month, submitted, accepted = map(int, numbers)
             except ValueError:
                 raise DataError(f"non-integer count field at line {reader.line_num}") from None
             if not MINYEAR <= year <= MAXYEAR:
@@ -333,7 +328,7 @@ def parse_counts(stream: "str | Iterable[str]") -> list:
                 raise DataError(f"negative count at line {reader.line_num}")
             if accepted > submitted:
                 raise DataError(f"accepted exceeds submitted at line {reader.line_num}")
-            rows.append((journal, year, month, submitted, accepted))
+            rows.append((journal.strip(), year, month, submitted, accepted))
     return rows
 
 

@@ -17,7 +17,7 @@ JOURNAL_COUNTS = Path(__file__).resolve().parent.parent / "data" / "journal_coun
 
 @pytest.fixture(scope="session")
 def journal_counts_rows():
-    return parse_counts(JOURNAL_COUNTS.read_text(encoding="utf-8").splitlines())
+    return parse_counts(JOURNAL_COUNTS.read_text(encoding="utf-8-sig"))
 
 
 def _events_text(rows):

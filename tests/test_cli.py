@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seasonstats.cli import _parse_orders, _parse_years, build_parser, main
 from seasonstats.ingest import DataError, parse_counts, parse_events
+from seasonstats.report import AnalysisOptions
 
 import refvalues as rv
 
@@ -46,6 +47,12 @@ def _run(args):
     return main([str(a) for a in args])
 
 
+def _grid(path):
+    """The rows of a written CSV document."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def _spawn(args):
     """`python -m seasonstats` with args, on this checkout's source."""
     paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
@@ -63,7 +70,7 @@ def test_counts_end_to_end(counts_csv, tmp_path, capsys):
     files = sorted(p.name for p in out.iterdir())
     assert files == ["t1_submitted.csv", "t2_accepted.csv", "t3_conditional.csv",
                      "t4_monthly_entropy.csv", "t5_indices.csv", "t6_fourier.csv"]
-    grid = list(csv.reader((out / "t1_submitted.csv").open()))
+    grid = _grid(out / "t1_submitted.csv")
     assert grid[0] == ["row", "2012", "2013", "2014", "[2012-2014]"]
     assert grid[1][1] == "0.08202"
 
@@ -85,7 +92,7 @@ def test_years_subset(counts_csv, tmp_path):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--years", "2012:2013", "--out", out])
     assert code == 0
-    grid = list(csv.reader((out / "t1_submitted.csv").open()))
+    grid = _grid(out / "t1_submitted.csv")
     assert grid[0] == ["row", "2012", "2013", "[2012-2013]"]
 
 
@@ -106,7 +113,7 @@ def test_events_infer_years(events_csv, tmp_path, capsys):
                  "--journal", "Demo", "--out", out])
     assert code == 0
     assert capsys.readouterr().err == ""  # January to December: no coverage warning
-    grid = list(csv.reader((out / "t1_submitted.csv").open()))
+    grid = _grid(out / "t1_submitted.csv")
     assert grid[0] == ["row", "2021", "2022", "[2021-2022]"]
 
 
@@ -220,6 +227,41 @@ def test_bad_q_exits_1(counts_csv, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--years", "2_012:2_014"), ("--years", "2012:2_014"), ("--years", "\u0662\u0660\u0661\u0662"),
+    ("--precision", "0_5"), ("--precision", "\uff15"), ("--q", "1_0,\u0662"), ("--q", "1,2_0"),
+    ("--t-null", "0_1"), ("--t-null", "\u00a00.1"), ("--z-sigma", "0_1"), ("--z-null", "\u0660.1"),
+])
+def test_numbers_with_underscores_or_non_ascii_exit_1(counts_csv, tmp_path, capsys, flag, value):
+    # int() and float() read "1_0" and non-ASCII digits; each numeric flag
+    # refuses them with the message it gives for text that is no number
+    z_flags = ["--z-sigma", "0.02", "--z-null", "0.08"] if flag.startswith("--z") else []
+
+    def run(text):
+        argv = ["--input", counts_csv, "--format", "counts", "--journal", "JSCS", *z_flags,
+                flag, text, "--out", tmp_path / "x"]
+        try:
+            code = _run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    code, captured = run(value)
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == run("x")[1].err.replace("'x'", repr(value))
+    assert not (tmp_path / "x").exists()
+
+
+def test_numbers_keep_padding_signs_and_inf(counts_csv, tmp_path):
+    code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                 "--years", " 2012 : +2013 ", "--precision", " +4 ", "--q", " 1 , +inf ",
+                 "--t-null", " 1e-1 ", "--z-sigma", "+.02", "--z-null", "0.08 ",
+                 "--out", tmp_path / "x"])
+    assert code == 0
+    assert _grid(tmp_path / "x" / "t1_submitted.csv")[0] == ["row", "2012", "2013", "[2012-2013]"]
+
+
 def test_orders_sharing_a_label_exit_1(counts_csv, tmp_path, capsys):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--q", "1,1,2", "--out", tmp_path / "x"])
@@ -235,7 +277,7 @@ def test_orders_sharing_a_label_exit_1(counts_csv, tmp_path, capsys):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--q=-0", "--out", tmp_path / "zero"])
     assert code == 0
-    t5 = list(csv.reader((tmp_path / "zero" / "t5_indices.csv").open()))
+    t5 = _grid(tmp_path / "zero" / "t5_indices.csv")
     assert [row[1] for row in t5 if row[0] == "submitted"][0] == "D0"
 
 
@@ -244,8 +286,8 @@ def test_infinite_and_large_orders(counts_csv, tmp_path):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--q", "inf,5000", "--out", out])
     assert code == 0
-    t1 = list(csv.reader((out / "t1_submitted.csv").open()))
-    t5 = list(csv.reader((out / "t5_indices.csv").open()))
+    t1 = _grid(out / "t1_submitted.csv")
+    t5 = _grid(out / "t5_indices.csv")
     d_inf = next(row for row in t5 if row[:2] == ["submitted", "Dinf"])
     d_5000 = next(row for row in t5 if row[:2] == ["submitted", "D5000"])
     for j in range(1, len(t1[0])):
@@ -284,7 +326,7 @@ def test_z_flags_add_rows(counts_csv, tmp_path):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--z-sigma", "0.0236", "--z-null", "0.0833333", "--out", out])
     assert code == 0
-    labels = [row[0] for row in csv.reader((out / "t1_submitted.csv").open())]
+    labels = [row[0] for row in _grid(out / "t1_submitted.csv")]
     assert "z" in labels and "z_p" in labels
 
 
@@ -306,7 +348,7 @@ def test_precision_flag(counts_csv, tmp_path):
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
                  "--precision", "4", "--out", out])
     assert code == 0
-    grid = list(csv.reader((out / "t1_submitted.csv").open()))
+    grid = _grid(out / "t1_submitted.csv")
     assert grid[1][1] == "0.0820"
 
 
@@ -379,10 +421,11 @@ def test_line_numbers_follow_csv_records(tmp_path, capsys, input_format, separat
     lines = [header, row, row.replace("JSCS", label), bad]
     path = tmp_path / "input.csv"
     path.write_text(line_end.join(lines) + line_end, encoding="utf-8", newline="")
-    parse = {"events": lambda fh: parse_events(fh, "JSCS"), "counts": parse_counts}[input_format]
-    with open(path, encoding="utf-8", newline="") as handle:
-        with pytest.raises(DataError, match=rf" at line {line}\b") as raised:
-            parse(handle)
+    parse = {"events": lambda t: parse_events(t, "JSCS"), "counts": parse_counts}[input_format]
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        text = handle.read()  # as cli.main reads it, keeping each CR
+    with pytest.raises(DataError, match=rf" at line {line}\b") as raised:
+        parse(text)
     result = _spawn(["--input", path, "--format", input_format, "--journal", "JSCS",
                      "--out", tmp_path / "x"])
     assert result.returncode == 1
@@ -517,6 +560,14 @@ def test_parser_defaults():
     assert args.out == "."
     assert args.t_null == pytest.approx(0.0833333)
     assert args.z_sigma is None and args.z_null is None
+    # the flags' defaults are the options' own
+    defaults = AnalysisOptions()
+    assert _parse_orders(args.q) == defaults.q_orders
+    assert (args.precision, args.t_null, args.z_sigma, args.z_null) \
+        == (defaults.precision, defaults.t_null, defaults.z_sigma, defaults.z_null)
+    help_text = build_parser().format_help()
+    for flag, default in (("--q", "1,2"), ("--precision", "5"), ("--t-null", "0.0833333")):
+        assert f"(default {default})" in help_text, flag
 
 
 def _fuzz_events():

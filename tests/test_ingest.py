@@ -21,6 +21,12 @@ from seasonstats.ingest import (
 from seasonstats.probability import conditional
 from seasonstats.report import build_bundle
 
+
+def _csv(*lines):
+    """CSV text of `lines`, each ended by an LF, as `cli.main` reads a file."""
+    return "".join(line + "\n" for line in lines)
+
+
 EVENT_LINES = [
     "journal,submitted_at,decision",
     "JSCS,2012-01-15,accepted",
@@ -29,44 +35,39 @@ EVENT_LINES = [
     "Entropy,2014-03-10,rejected",
     "JSCS,2013-12-31,accepted",
 ]
+EVENT_TEXT = _csv(*EVENT_LINES)
 
 
 def test_parse_events_basic():
     # one counts row per month with events, in date order; decisions are
     # case-insensitive ("Accepted" in February)
     rows = [("JSCS", 2012, 1, 2, 1), ("JSCS", 2012, 2, 1, 1), ("JSCS", 2013, 12, 1, 1)]
-    shuffled = [EVENT_LINES[0], *reversed(EVENT_LINES[1:])]
-    for stream in (EVENT_LINES, shuffled, "\n".join(shuffled),
-                   io.StringIO("\n".join(EVENT_LINES) + "\n")):
-        assert parse_events(stream, "JSCS") == rows
-    assert parse_events(EVENT_LINES, "Entropy") == [("Entropy", 2014, 3, 1, 0)]
-    assert parse_events(EVENT_LINES, "Absent") == []
+    shuffled = _csv(EVENT_LINES[0], *reversed(EVENT_LINES[1:]))
+    for text in (EVENT_TEXT, shuffled, shuffled[:-1], shuffled.replace("\n", "\r\n")):
+        assert parse_events(text, "JSCS") == rows
+    assert parse_events(EVENT_TEXT, "Entropy") == [("Entropy", 2014, 3, 1, 0)]
+    assert parse_events(EVENT_TEXT, "Absent") == []
 
 
 def test_parse_events_errors_carry_line_numbers():
+    header = "journal,submitted_at,decision"
     with pytest.raises(DataError, match="header"):
-        parse_events(["wrong,header,row"], "JSCS")
+        parse_events(_csv("wrong,header,row"), "JSCS")
     with pytest.raises(DataError, match="line 2"):
-        parse_events(["journal,submitted_at,decision", "JSCS,2012-13-01,accepted"], "JSCS")
+        parse_events(_csv(header, "JSCS,2012-13-01,accepted"), "JSCS")
     with pytest.raises(DataError, match="line 3"):
-        parse_events(["journal,submitted_at,decision",
-                      "JSCS,2012-01-01,accepted",
-                      "JSCS,2012-01-02,maybe"], "JSCS")
+        parse_events(_csv(header, "JSCS,2012-01-01,accepted", "JSCS,2012-01-02,maybe"), "JSCS")
     with pytest.raises(DataError, match="3 columns"):
-        parse_events(["journal,submitted_at,decision", "JSCS,2012-01-01"], "JSCS")
+        parse_events(_csv(header, "JSCS,2012-01-01"), "JSCS")
     with pytest.raises(DataError, match="empty input"):
-        parse_events([], "JSCS")
+        parse_events("", "JSCS")
     # only YYYY-MM-DD, although Python 3.11's fromisoformat takes more forms
     for bad in ("20120117", "2012-W03-2", "2012-1-17"):
         with pytest.raises(DataError, match=f"^invalid date '{bad}' at line 3: expected YYYY-MM-DD$"):
-            parse_events(["journal,submitted_at,decision",
-                          "JSCS,2012-01-17,accepted",
-                          f"JSCS,{bad},accepted"], "JSCS")
+            parse_events(_csv(header, "JSCS,2012-01-17,accepted", f"JSCS,{bad},accepted"), "JSCS")
     # rows of other journals are validated too
     with pytest.raises(DataError, match="line 3"):
-        parse_events(["journal,submitted_at,decision",
-                      "JSCS,2012-01-01,accepted",
-                      "Other,2012-02-30,accepted"], "JSCS")
+        parse_events(_csv(header, "JSCS,2012-01-01,accepted", "Other,2012-02-30,accepted"), "JSCS")
 
 
 @pytest.mark.parametrize("parse, lines, message", [
@@ -82,14 +83,14 @@ def test_parse_events_errors_carry_line_numbers():
 def test_errors_name_the_line_after_a_field_over_two_lines(parse, lines, message):
     # the quoted label on lines 2-3 is one record, so the bad row, the fourth
     # record, is on line 5
-    text = "\n".join(lines) + "\n"
-    for stream in (lines, text, io.StringIO(text, newline="")):
+    text = _csv(*lines)
+    for stream in (text, text[:-1]):
         with pytest.raises(DataError, match=message):
             parse(stream)
 
 
 def test_aggregate_counts_by_month_and_year():
-    submitted, accepted = aggregate(parse_events(EVENT_LINES, "JSCS"), (2012, 2013))
+    submitted, accepted = aggregate(parse_events(EVENT_TEXT, "JSCS"), (2012, 2013))
     assert submitted.years == (2012, 2013)
     assert submitted.counts[0] == (2, 0)  # Jan 2012: two submissions
     assert accepted.counts[0] == (1, 0)
@@ -102,20 +103,20 @@ def test_aggregate_empty_selection():
     with pytest.raises(DataError, match="empty selection: no events in 2012-2012"):
         aggregate([], (2012,))
     with pytest.raises(DataError, match="empty selection: no events in 1999-1999"):
-        aggregate(parse_events(EVENT_LINES, "JSCS"), (1999,))
+        aggregate(parse_events(EVENT_TEXT, "JSCS"), (1999,))
     with pytest.raises(DataError, match="^empty year range$"):
         aggregate([])
     with pytest.raises(DataError, match="^empty year range$"):
-        aggregate(parse_events(EVENT_LINES, "JSCS"), ())
+        aggregate(parse_events(EVENT_TEXT, "JSCS"), ())
 
 
 def test_aggregate_default_years_span_first_to_last():
-    records = parse_events(EVENT_LINES, "JSCS")
+    records = parse_events(EVENT_TEXT, "JSCS")
     assert aggregate(records) == aggregate(records, (2013, 2012, 2012))
     assert aggregate(records)[0].years == (2012, 2013)
     # a year without events inside the span is a zero column, not a skipped one
-    gap = parse_events(["journal,submitted_at,decision",
-                        "J,2012-03-01,accepted", "J,2014-05-02,rejected"], "J")
+    gap = parse_events(_csv("journal,submitted_at,decision",
+                            "J,2012-03-01,accepted", "J,2014-05-02,rejected"), "J")
     assert gap == [("J", 2012, 3, 1, 1), ("J", 2014, 5, 1, 0)]
     submitted, accepted = aggregate(gap)
     assert submitted.years == (2012, 2013, 2014)
@@ -125,10 +126,10 @@ def test_aggregate_default_years_span_first_to_last():
     assert aggregate(gap) == aggregate(gap, range(2012, 2015))
 
 
-def _parse_all_then_filter(lines, journal):
+def _parse_all_then_filter(text, journal):
     """Reference: read every event, then keep one journal's (date, decision)
     pairs, in input order."""
-    reader = csv.reader(lines)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return _events_then_filter(reader, journal)
     except csv.Error as exc:
@@ -313,7 +314,7 @@ def test_parse_events_matches_parse_all_then_filter(rows, bad, journal, header, 
     body = "\n".join([header, *rows])
     for text in (body, body + "\n"):
         try:
-            events = _parse_all_then_filter(io.StringIO(text, newline=""), journal)
+            events = _parse_all_then_filter(text, journal)
         except DataError as exc:
             assert _parse_text(text, journal) == str(exc)
             continue
@@ -342,16 +343,16 @@ def test_parse_events_matches_reference_past_the_field_limit(lines):
     # DataError with its line; one of exactly the limit is read
     old = csv.field_size_limit(12)
     try:
-        for stream in (lines, "\n".join(lines)):
+        for text in (_csv(*lines), "\n".join(lines)):
             try:
-                expected = _tally_rows("JSCS", _parse_all_then_filter(lines, "JSCS"))
+                expected = _tally_rows("JSCS", _parse_all_then_filter(text, "JSCS"))
             except DataError as exc:
                 with pytest.raises(DataError) as raised:
-                    parse_events(stream, "JSCS")
+                    parse_events(text, "JSCS")
                 assert str(raised.value) == str(exc)
                 assert str(exc).endswith("field larger than field limit (12)")
             else:
-                assert parse_events(stream, "JSCS") == expected
+                assert parse_events(text, "JSCS") == expected
     finally:
         csv.field_size_limit(old)
 
@@ -360,11 +361,11 @@ def test_parse_events_splits_clean_text_without_csv(monkeypatch):
     clean = ["journal,submitted_at,decision"] + [
         f"{('JSCS', 'Entropy')[i % 2]},2012-{i % 12 + 1:02d}-{i % 28 + 1:02d},"
         f"{DECISIONS[i % 3 == 0]}" for i in range(1000)]
-    expected = _tally_rows("JSCS", _parse_all_then_filter(clean, "JSCS"))
+    text = _csv(*clean)
+    expected = _tally_rows("JSCS", _parse_all_then_filter(text, "JSCS"))
     # 500 JSCS events in the six odd months of 2012
     assert [row[2] for row in expected] == [1, 3, 5, 7, 9, 11]
     assert sum(row[3] for row in expected) == 500
-    text = "\n".join(clean) + "\n"
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader called")
@@ -378,7 +379,7 @@ def test_parse_events_splits_clean_text_without_csv(monkeypatch):
                 assert parse_events(stream, "JSCS") == expected
         quoted = text.replace("\nJSCS,", '\n"JSCS",', 1)
         lone_cr = text.replace("\n", "\r\n").replace("\r\n", "\r", 1)
-        for stream in (quoted, lone_cr, io.StringIO(text), clean):
+        for stream in (quoted, lone_cr):
             with pytest.raises(AssertionError, match="csv.reader called"):
                 parse_events(stream, "JSCS")
     # two 2-field lines split at their commas into three fields, as one row does
@@ -414,8 +415,26 @@ COUNTS_LINES = [
 ]
 
 
+COUNTS_TEXT = _csv(*COUNTS_LINES)
+
+
+@pytest.mark.parametrize("input_format", ["events", "counts"])
+def test_parsers_take_text_only(input_format):
+    # a handle is left unread; a list of lines, which would split a quoted
+    # field over lines into two records, and bytes are refused as well
+    parse, text = {"events": (lambda stream: parse_events(stream, "JSCS"), EVENT_TEXT),
+                   "counts": (parse_counts, COUNTS_TEXT)}[input_format]
+    handle = io.StringIO(text)
+    for stream in (handle, text.splitlines(), text.encode(), None):
+        with pytest.raises(TypeError, match=rf"^parse_{input_format} takes decoded text \(str\), "
+                                            rf"not {type(stream).__name__}$"):
+            parse(stream)
+    assert handle.tell() == 0
+    assert len(parse(text)) == {"events": 3, "counts": 12}[input_format]
+
+
 def test_parse_counts_and_matrices():
-    rows = parse_counts(COUNTS_LINES)
+    rows = parse_counts(COUNTS_TEXT)
     assert len(rows) == 12
     submitted, accepted = matrices_from_counts(rows, "J")
     assert submitted.years == (2012,)
@@ -424,36 +443,55 @@ def test_parse_counts_and_matrices():
 
 
 def test_parse_counts_errors():
+    header = "journal,year,month,submitted,accepted"
     with pytest.raises(DataError, match="header"):
-        parse_counts(["a,b,c,d,e"])
+        parse_counts(_csv("a,b,c,d,e"))
     with pytest.raises(DataError, match="line 2"):
-        parse_counts(["journal,year,month,submitted,accepted", "J,2012,13,5,1"])
+        parse_counts(_csv(header, "J,2012,13,5,1"))
     with pytest.raises(DataError, match="accepted exceeds submitted"):
-        parse_counts(["journal,year,month,submitted,accepted", "J,2012,1,5,9"])
+        parse_counts(_csv(header, "J,2012,1,5,9"))
     with pytest.raises(DataError, match="non-integer"):
-        parse_counts(["journal,year,month,submitted,accepted", "J,2012,1,five,1"])
+        parse_counts(_csv(header, "J,2012,1,five,1"))
+    with pytest.raises(DataError, match="^empty input, expected a header row$"):
+        parse_counts("")
     for year in ("0", "-1", "10000"):
         with pytest.raises(DataError, match="^year out of range at line 3$"):
-            parse_counts(["journal,year,month,submitted,accepted", "J,2012,1,5,1",
-                          f"J,{year},1,5,1"])
-    assert parse_counts(["journal,year,month,submitted,accepted", "J,1,1,5,1",
-                         "J,9999,12,5,1"]) == [("J", 1, 1, 5, 1), ("J", 9999, 12, 5, 1)]
+            parse_counts(_csv(header, "J,2012,1,5,1", f"J,{year},1,5,1"))
+    assert parse_counts(_csv(header, "J,1,1,5,1", "J,9999,12,5,1")) \
+        == [("J", 1, 1, 5, 1), ("J", 9999, 12, 5, 1)]
+
+
+@pytest.mark.parametrize("row", [
+    "J,2_012,1,5,1", "J,2012,0_1,5,1", "J,2012,1,1_0,5", "J,2012,1,5,0_1", "J,2_012,0_1,1_0,5",
+    "J,\u0661\u0662,1,5,1", "J,2012,\uff11,5,1", "J,2012,1,\u0665,1", "J,2012,1,5,\u00a01",
+])
+def test_parse_counts_refuses_underscores_and_non_ascii_numbers(row):
+    # int() reads "2_012" as 2012 and the Arabic-Indic "\u0661\u0662" as 12
+    with pytest.raises(DataError, match="^non-integer count field at line 3$"):
+        parse_counts(_csv("journal,year,month,submitted,accepted", "J,2012,2,5,1", row))
+
+
+def test_parse_counts_keeps_padding_and_signs():
+    # ASCII whitespace around a number and a sign stay accepted, and the
+    # journal label may hold anything
+    assert parse_counts(_csv("journal,year,month,submitted,accepted",
+                             "J_\u00e9, 2012 ,\t+1, 05 ,-0")) == [("J_\u00e9", 2012, 1, 5, 0)]
 
 
 def test_matrices_from_counts_requires_complete_years():
-    rows = parse_counts(COUNTS_LINES[:-1])  # drop December
+    rows = parse_counts(_csv(*COUNTS_LINES[:-1]))  # drop December
     with pytest.raises(DataError, match="missing month 2012-12"):
         matrices_from_counts(rows, "J")
 
 
 def test_matrices_from_counts_rejects_duplicates():
-    rows = parse_counts(COUNTS_LINES + ["J,2012,5,1,0"])
+    rows = parse_counts(COUNTS_TEXT + "J,2012,5,1,0\n")
     with pytest.raises(DataError, match="duplicate"):
         matrices_from_counts(rows, "J")
 
 
 def test_matrices_from_counts_empty_journal():
-    rows = parse_counts(COUNTS_LINES)
+    rows = parse_counts(COUNTS_TEXT)
     with pytest.raises(DataError, match="empty selection"):
         matrices_from_counts(rows, "K")
 
@@ -476,7 +514,7 @@ def test_non_contiguous_years_refused(journal_counts_rows):
     for years in ((2012, 2014), (2014, 2012, 2014), [2012, 2014]):
         with pytest.raises(DataError, match=message):
             matrices_from_counts(journal_counts_rows, "JSCS", years)
-    records = parse_events(EVENT_LINES, "JSCS")
+    records = parse_events(EVENT_TEXT, "JSCS")
     with pytest.raises(DataError, match=message):
         aggregate(records, (2012, 2014))
     with pytest.raises(DataError, match=r"^years 2010-2016 are not contiguous: 2011 is missing$"):
@@ -500,6 +538,6 @@ def test_pair_validation_rejects_excess_acceptance():
         with pytest.raises(DataError,
                            match="^submitted and accepted matrices cover different years$"):
             check(submitted, other_years)
-    rows = parse_counts(COUNTS_LINES)
+    rows = parse_counts(COUNTS_TEXT)
     submitted, accepted = matrices_from_counts(rows, "J")
     assert conditional(submitted, accepted).per_year[0] == (0.1,)

@@ -166,7 +166,7 @@ def test_every_precision_renders_as_decimal_reference(name, monkeypatch):
     # precision 12 has the smallest fast-path bound (512), and no golden file
     # covers precisions other than 5 and 7
     input_name, journal, _ = rv.GOLDEN_RUNS[name]
-    rows = parse_counts((DATA_DIR / input_name).read_text(encoding="utf-8").splitlines())
+    rows = parse_counts((DATA_DIR / input_name).read_text(encoding="utf-8-sig"))
     matrices = matrices_from_counts(rows, journal)
 
     def documents(precision):
