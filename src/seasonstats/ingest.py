@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from contextlib import contextmanager
 from datetime import MAXYEAR, MINYEAR, date
@@ -161,8 +162,9 @@ def _split_events(text: str, journal: str) -> "Counter | None":
     fields and every date hold no LF and every field between them at an even
     position holds exactly one, each of the chunk's lines has exactly two
     commas. Each distinct date, decision and journal field is then checked
-    once. `journal`'s rows are found by their line start, an LF and a raw
-    journal field that strips to `journal`.
+    once. For each raw journal field that strips to `journal`, one regular
+    expression, an LF, the escaped field and a comma, finds its rows and
+    captures their date and decision fields.
     """
     if '"' in text or "\0" in text:
         return None
@@ -210,22 +212,13 @@ def _split_events(text: str, journal: str) -> "Counter | None":
     decision_of = {raw: raw.strip().lower() for raw in decisions}
     if any(decision not in DECISIONS for decision in decision_of.values()):
         return None
-    rests = []  # the date and decision of each of `journal`'s rows
+    rows = Counter()  # the (date, decision) fields of `journal`'s rows
     for label in journals:
-        if label.strip() != journal:
-            continue
-        needle = "\n" + label + ","
-        i = text.find(needle, start)
-        while i >= 0:
-            i += len(needle)
-            j = text.find("\n", i)
-            if j < 0:
-                j = len(text)
-            rests.append(text[i:j])
-            i = text.find(needle, j)
+        if label.strip() == journal:
+            row = re.compile("\n" + re.escape(label) + ",([^,\n]*),([^\n]*)")
+            rows.update(row.findall(text, start))
     tally = Counter()
-    for rest, count in Counter(rests).items():
-        raw_date, raw_decision = rest.split(",")
+    for (raw_date, raw_decision), count in rows.items():
         tally[months[raw_date], decision_of[raw_decision]] += count
     return tally
 
