@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import re
 from collections import Counter
 from contextlib import contextmanager
@@ -38,15 +39,24 @@ class _CountFields(NamedTuple):
 
 
 class CountMatrix(_CountFields):
-    """Monthly event counts: 12 month rows by one column per year."""
+    """Monthly event counts: 12 month rows by one column per year. The years
+    are plain ints that run up by one, as the DFT reads their months as one
+    series."""
 
     __slots__ = ()
 
     def __new__(cls, years: tuple, counts: tuple, outcome: str):
         if len(counts) != MONTHS_PER_YEAR:
             raise DataError("count matrix must have 12 month rows")
+        years = _int_years(years)
         if not years:
             raise DataError("count matrix must cover at least one year")
+        for a, b in zip(years, years[1:]):
+            if b <= a:
+                raise DataError(f"years must run up by one, got {b} after {a}")
+            if b != a + 1:
+                raise DataError(f"years {years[0]}-{years[-1]} are not contiguous: "
+                                f"{a + 1} is missing")
         for row in counts:
             if len(row) != len(years):
                 raise DataError("count row width does not match year list")
@@ -84,20 +94,24 @@ class CountMatrix(_CountFields):
                      for m in range(MONTHS_PER_YEAR))
 
 
+def _int_years(years: Iterable) -> tuple:
+    """`years` as plain ints, through `operator.index`, so 2012.5 and "2012" are refused."""
+    try:
+        return tuple(map(operator.index, years))
+    except TypeError:
+        raise DataError(f"years must be integers, got {years!r}") from None
+
+
 def _year_span(present: Iterable[int], years: "Sequence[int] | None") -> tuple:
     """`years` sorted and deduplicated, by default every year from the first
-    to the last in `present`; an empty range and a gap are refused, as the
-    DFT reads the years' months as one series."""
+    to the last in `present`; an empty range is refused, and `CountMatrix`
+    refuses a gap."""
     if years is None:
         present = set(present)
         years = range(min(present), max(present) + 1) if present else ()
-    years = tuple(sorted(set(int(y) for y in years)))
+    years = tuple(sorted(set(_int_years(years))))
     if not years:
         raise DataError("empty year range")
-    gaps = [a + 1 for a, b in zip(years, years[1:]) if b != a + 1]
-    if gaps:
-        raise DataError(f"years {years[0]}-{years[-1]} are not contiguous: "
-                        f"{gaps[0]} is missing")
     return years
 
 

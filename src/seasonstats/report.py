@@ -333,15 +333,14 @@ def _layouts(bundle) -> dict:
     peak_rows = [((series, rank), (p.frequency, p.period, p.amplitude))
                  for series, peaks in bundle.peaks
                  for rank, p in enumerate(peaks, start=1)]
-    return {
-        "t1_submitted": _month_layout(_columns(bundle.submitted), bundle.submitted_footers, labels),
-        "t2_accepted": _month_layout(_columns(bundle.accepted), bundle.accepted_footers, labels),
-        "t3_conditional": _month_layout(_columns(bundle.conditional), bundle.conditional_footers,
-                                        labels),
-        "t4_monthly_entropy": _month_layout(bundle.entropy_terms, bundle.entropy_footers, labels),
-        "t5_indices": _Layout(("block", "index"), labels, index_rows),
-        "t6_fourier": _Layout(("series", "rank"), _PEAK_COLUMNS, peak_rows),
-    }
+    return dict(zip(DOCUMENT_NAMES, (
+        _month_layout(_columns(bundle.submitted), bundle.submitted_footers, labels),
+        _month_layout(_columns(bundle.accepted), bundle.accepted_footers, labels),
+        _month_layout(_columns(bundle.conditional), bundle.conditional_footers, labels),
+        _month_layout(bundle.entropy_terms, bundle.entropy_footers, labels),
+        _Layout(("block", "index"), labels, index_rows),
+        _Layout(("series", "rank"), _PEAK_COLUMNS, peak_rows),
+    )))
 
 
 def _csv_text(header, rows) -> str:

@@ -19,7 +19,7 @@ from seasonstats.ingest import (
     parse_events,
 )
 from seasonstats.probability import conditional
-from seasonstats.report import build_bundle
+from seasonstats.report import build_bundle, render
 
 
 def _csv(*lines):
@@ -214,7 +214,10 @@ def _line_ends(lines):
         (line, line + "\n", line + "\r", line + "\r\n")))
 
 
-_JOURNALS = ("JSCS", "Entropy", "jscs", "Nature")
+# the fast path finds a journal's rows with a regular expression built from
+# its label, so labels hold the characters a pattern reads otherwise
+_JOURNALS = ("JSCS", "Entropy", "jscs", "Nature", "J.S", "JxS", "a+b", "(J)", "[J]", "J$",
+             "^J", "J|S", "J\\S")
 _GOOD_ROWS = st.tuples(
     _padded(_JOURNALS),
     _padded(("2012-01-15", "2013-02-28", "2016-02-29", "2014-12-31")),
@@ -297,6 +300,9 @@ def _parse_text(text, journal):
          [], "J0", _HEADER, None)
 @example([" JSCS,2012-01-15,accepted", "JSCS ,2012-02-15,rejected", "JSCS,2012-03-15,accepted",
           "\tJSCS\t,2012-03-16,Accepted", "JSCSX,2012-03-17,accepted"], [], "JSCS", _HEADER, None)
+# a label whose dot would match the x of its neighbour if it were not escaped
+@example(["J.S,2012-01-15,accepted", "JxS,2012-02-15,rejected", " J.S,2012-02-16,accepted"],
+         [], "J.S", _HEADER, None)
 # a year without events inside the span, and given years around it
 @example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS", _HEADER, None)
 @example(["JSCS,2012-01-15,accepted", "JSCS,2014-12-31,Rejected"], [], "JSCS", _HEADER, [2013])
@@ -397,6 +403,41 @@ def test_count_matrix_validation():
             CountMatrix((2012,), ((bad,),) + ((0,),) * 11, "submitted")
     with pytest.raises(DataError, match="outcome"):
         CountMatrix((2012,), ((0,),) * 12, "published")
+
+
+class _Year:
+    """An integer year that is not an int, as a numpy.int64 is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_count_matrix_years_are_ints_that_run_up_by_one():
+    # each year is one document column, which JSON keys by the year, and t6
+    # reads the months of all years as one series
+    counts = tuple((m + 2, m + 3) for m in range(12))
+    for years, message in (((2012, 2012), "^years must run up by one, got 2012 after 2012$"),
+                           ((2014, 2012), "^years must run up by one, got 2012 after 2014$"),
+                           ((2012, 2014), "^years 2012-2014 are not contiguous: 2013 is missing$")):
+        with pytest.raises(DataError, match=message):
+            CountMatrix(years, counts, "submitted")
+    for years in ((2012.5,), (2012.0,), ("2012",), (None,)):
+        with pytest.raises(DataError, match=r"^years must be integers, got \("):
+            CountMatrix(years, ((1,),) * 12, "submitted")
+        with pytest.raises(DataError, match=r"^years must be integers, got \("):
+            aggregate([("J", 2012, 1, 1, 1)], years)
+    # an integer that is not an int is kept as a plain int, which json writes
+    submitted = CountMatrix([_Year(2012), _Year(2013)], counts, "submitted")
+    assert submitted.years == (2012, 2013)
+    assert all(type(year) is int for year in submitted.years)
+    accepted = CountMatrix((2012, 2013), tuple((m // 2 + 1, m // 3 + 1) for m in range(12)),
+                           "accepted")
+    plain = build_bundle(CountMatrix((2012, 2013), counts, "submitted"), accepted)
+    assert render(build_bundle(submitted, accepted), "json") == render(plain, "json")
+    assert aggregate([("J", 2012, 1, 1, 1)], [_Year(2012)])[0].years == (2012,)
 
 
 def test_count_matrix_series_is_chronological():
