@@ -34,13 +34,17 @@ def _defined(p: Vector) -> list[float]:
         raise ValueError("no defined entries")
     return out
 
+def _left_sum(values) -> float:
+    """values added left to right from 0, as every float sum of the package is:
+    builtin sum compensates float sums from Python 3.12 on, which would make the
+    last bits of the indices and footers depend on the Python version."""
+    return reduce(add, values, 0)
+
 # The _-prefixed kernels take the list `_defined` returns. Each sums a
-# built list left to right from 0, in the order the index's formula is
-# written: reduce(add, ..., 0), as builtin sum compensates float sums from
-# Python 3.12 on and would make the last bits depend on the version.
+# built list with _left_sum, in the order the index's formula is written.
 
 def _entropy(values: list) -> float:
-    return reduce(add, [-v * math.log(v) for v in values if v > 0.0], 0)
+    return _left_sum([-v * math.log(v) for v in values if v > 0.0])
 
 def entropy(p: Vector) -> float:
     """Shannon entropy sum(-p ln p) with 0 ln 0 = 0.
@@ -86,7 +90,7 @@ def _diversity(values: list, q: float, h: "float | None" = None) -> float:
         return math.exp(_entropy(values) if h is None else h)
     if q == math.inf:
         return 1.0 / p_max
-    total = reduce(add, [(v / p_max) ** q for v in values if v > 0.0], 0)
+    total = _left_sum([(v / p_max) ** q for v in values if v > 0.0])
     try:
         # the two factors are taken as one exponential: near q = 1 one of
         # them underflows while the other overflows
@@ -111,7 +115,7 @@ def theil(p: Vector) -> float:
     return math.log(len(values)) - _entropy(values)
 
 def _hhi(values: list) -> float:
-    return reduce(add, [v * v for v in values], 0)
+    return _left_sum([v * v for v in values])
 
 def hhi(p: Vector) -> float:
     """Herfindahl-Hirschman concentration: sum of squared shares."""
@@ -124,7 +128,7 @@ def lorenz(z: Vector) -> list:
     values.
     """
     values = sorted(_defined(z))
-    total = reduce(add, values, 0)
+    total = _left_sum(values)
     if total <= 0:
         raise ValueError("all entries are zero")
     n = len(values)
@@ -145,12 +149,12 @@ def gini(z: Vector) -> float:
     return _gini(_defined(z))
 
 def _gini(values: list) -> float:
-    total = reduce(add, values, 0)
+    total = _left_sum(values)
     if total <= 0:
         raise ValueError("all entries are zero")
     n = len(values)
     # abs(a - b) bit for bit without a call: b - a is exactly -(a - b)
-    abs_diff = reduce(add, [a - b if a > b else b - a for a in values for b in values], 0)
+    abs_diff = _left_sum([a - b if a > b else b - a for a in values for b in values])
     return abs_diff / (2.0 * n * total)
 
 def index_summary(p: Vector, q_orders: Sequence[float],

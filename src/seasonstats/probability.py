@@ -7,10 +7,9 @@ and marks a month with no submissions as undefined (None).
 """
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
 from typing import NamedTuple, Sequence
 
+from .indices import _left_sum
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
 
 
@@ -69,8 +68,7 @@ def normalize(vector: Sequence["float | None"]) -> tuple:
     defined = [v for v in vector if v is not None]
     if any(v < 0 for v in defined):
         raise DataError("negative entry")
-    # a left fold from 0: builtin sum compensates float sums from Python 3.12 on
-    total = reduce(add, defined, 0)
+    total = _left_sum(defined)
     if total <= 0:
         raise DataError("cannot normalize: no positive entries")
     return tuple(None if v is None else v / total for v in vector)

@@ -9,9 +9,9 @@ and the dominant Fourier peaks (t6).
 value) pair of its column; `render` lays the rows out as CSV, Markdown or
 JSON at `AnalysisOptions.precision` and computes no statistics.
 
-One kernel, `_rounded`, rounds every number a row or column at a time: a
-grid row, a JSON column or row, an index-block input column per call.
-`format_number` and `quote_half_down` are its one-value forms.
+One kernel, `_rounded`, rounds every printed or quoted number, a row or
+column at a time: a grid row, a JSON column or row, an index-block input
+column per call.
 
 Index-block inputs are taken from the tables at their quoted precision:
 shares at the configured precision, acceptance ratios at the four decimal
@@ -26,12 +26,12 @@ import csv
 import io
 import math
 import operator
-from functools import partial, reduce
+from functools import partial
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .indices import entropy, index_summary, monthly_entropy_terms
+from .indices import _left_sum, entropy, index_summary, monthly_entropy_terms
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
 from .probability import MonthTable, conditional, normalize, shares
 from .spectral import top_peaks
@@ -54,21 +54,23 @@ TOP_PEAK_COUNT = 2
 RATIO_QUOTED_PLACES = 4
 
 
-# places -> (bound, "%.{places}f", "%.{places+1}f"). Below the bound,
-# ulp(x) <= 2**-(10**(places+1)).bit_length() < 10**-(places+1), so the
-# interval of reals that round to x holds at most one (places+1)-decimal
-# string. The shortest repr and the exact binary value of x then lie on the
-# same side of every rounding midpoint, unless the repr is that midpoint:
-# exactly places+1 decimals ending in 5, which the probe format finds.
+# places -> (bound, "%.{places}f", "%.{places+1}f"), one entry per precision
+# the options accept. Below the bound, ulp(x) <= 2**-(10**(places+1)).bit_length()
+# < 10**-(places+1), so the interval of reals that round to x holds at most
+# one (places+1)-decimal string. The shortest repr and the exact binary value
+# of x then lie on the same side of every rounding midpoint, unless the repr
+# is that midpoint: exactly places+1 decimals ending in 5, which the probe
+# format finds.
 _FAST_ROUNDING = {places: (2.0 ** (53 - (10 ** (places + 1)).bit_length()),
                            f"%.{places}f", f"%.{places + 1}f")
                   for places in range(1, 13)}
 
 def _rounded(values, places: int, rounding: str) -> list:
-    """Each value's repr rounded to `places` decimals by `rounding` (ROUND_HALF_UP
-    or ROUND_HALF_DOWN) as fixed-point text, None kept. The Decimal fallback
-    raises InvalidOperation for a non-finite value or one past 28 digits."""
-    bound, text, probe = _FAST_ROUNDING.get(places, (0.0, "", ""))
+    """Each value's repr rounded to `places` decimals (a key of _FAST_ROUNDING)
+    by `rounding` (ROUND_HALF_UP or ROUND_HALF_DOWN) as fixed-point text, None
+    kept. The Decimal fallback raises InvalidOperation for a non-finite value
+    or one past 28 digits."""
+    bound, text, probe = _FAST_ROUNDING[places]
     out = []
     for x in values:
         if x is None:
@@ -83,20 +85,6 @@ def _rounded(values, places: int, rounding: str) -> list:
             # "f": str() would write values below 1e-6 as 0E-7, 3E-7
             out.append(format(value.quantize(Decimal(1).scaleb(-places), rounding=rounding), "f"))
     return out
-
-def quote_half_down(x: float, places: int) -> float:
-    """Round repr(x) to `places` decimals, halves toward zero.
-
-    The reference tables resolve exact ties this way (17/32 is quoted
-    0.5312 and 30/64 is quoted 0.4687), so the index chain quotes its
-    inputs with the same rule; rendered output keeps the
-    half-away-from-zero convention.
-    """
-    return float(_rounded((x,), places, ROUND_HALF_DOWN)[0])
-
-def format_number(x: float, places: int) -> str:
-    """repr(x) rounded to `places` decimals, halves away from zero, as fixed-point text."""
-    return _rounded((x,), places, ROUND_HALF_UP)[0]
 
 
 def _diversity_label(q) -> str:
@@ -122,7 +110,7 @@ class AnalysisOptions(_OptionFields):
             places = operator.index(precision)
         except TypeError:
             raise DataError("precision must be an integer") from None
-        if not 1 <= places <= 12:
+        if places not in _FAST_ROUNDING:
             raise DataError("precision must lie in 1..12")
         if any(math.isnan(q) for q in q_orders):
             # q < 0 is false for NaN
@@ -146,7 +134,7 @@ class AnalysisOptions(_OptionFields):
                 raise DataError(f"{name} value must be finite")
         if z_sigma is not None and z_sigma <= 0:
             raise DataError("z sigma must be positive")
-        return super().__new__(cls, q_orders, precision, t_null, z_sigma, z_null)
+        return super().__new__(cls, q_orders, places, t_null, z_sigma, z_null)
 
     @classmethod
     def _make(cls, iterable):
@@ -199,8 +187,7 @@ def _tested_rows(col, options) -> list:
     return rows + _band_rows(stats)
 
 def _defined_sum(col) -> float:
-    # a left fold from 0: builtin sum compensates float sums from Python 3.12 on
-    return reduce(operator.add, [v for v in col if v is not None], 0)
+    return _left_sum([v for v in col if v is not None])
 
 def _share_footer(col, counts, options) -> list:
     return [*_test_rows("chi_square", chi_square_uniform(counts)),
@@ -215,6 +202,9 @@ def _terms_footer(terms) -> list:
     return [("sum", _defined_sum(terms)), *_band_rows(describe(terms))]
 
 def _index_column(vector, options, ratios: bool) -> list:
+    # the inputs are quoted with halves toward zero, the rule by which the
+    # reference tables resolve exact ties (17/32 is quoted 0.5312 and 30/64
+    # 0.4687); rendered output keeps halves away from zero
     places = RATIO_QUOTED_PLACES if ratios else options.precision
     rounded = tuple(None if text is None else float(text)
                     for text in _rounded(vector, places, ROUND_HALF_DOWN))
@@ -287,7 +277,7 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
 
 
 def _json_number(text: str) -> str:
-    """repr(float(text)) for the fixed-point text of format_number.
+    """repr(float(text)) for the fixed-point text of _rounded.
 
     Stripped of its trailing zeros, text of at most 16 characters has at
     most 15 significant digits and an integer part below 10**15, so the
@@ -300,7 +290,7 @@ def _json_number(text: str) -> str:
     return short + "0" if short[-1] == "." else short
 
 def _json_numbers(values, places) -> list:
-    """The JSON text of each value as format_number rounds it, null for None."""
+    """The JSON text of each value rounded halves away from zero, null for None."""
     return ["null" if text is None else _json_number(text)
             for text in _rounded(values, places, ROUND_HALF_UP)]
 

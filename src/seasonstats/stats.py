@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import reduce
-from operator import add
 from typing import NamedTuple, Sequence
 
+from .indices import _left_sum
 from .special import chi_square_sf, normal_cdf, regularized_beta
 
 
@@ -135,8 +134,7 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     n = len(observed)
     try:
         expected = total / n
-        # a left fold from 0: builtin sum compensates float sums from Python 3.12 on
-        stat = reduce(add, [(o - expected) ** 2 / expected for o in observed], 0)
+        stat = _left_sum([(o - expected) ** 2 / expected for o in observed])
     except OverflowError:
         raise ValueError("chi-square statistic overflows the float range") from None
     dof = n - 1
@@ -163,8 +161,11 @@ def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
         raise ValueError("degenerate sample: zero standard deviation")
     stat = _standard_score("t", mean - k, std, n)
     dof = n - 1
-    # two-sided tail directly: 2 P(T > |t|) = I_{dof/(dof+t^2)}(dof/2, 1/2)
-    p = regularized_beta(dof / 2.0, 0.5, dof / (dof + stat * stat))
+    # two-sided tail directly: 2 P(T > |t|) = I_x(dof/2, 1/2), x = dof/(dof+t^2);
+    # for t^2 < dof, x rounds near 1, so the tail is 1 - I_{1-x}(1/2, dof/2) there
+    t2 = stat * stat
+    p = (1.0 - regularized_beta(0.5, dof / 2.0, t2 / (dof + t2)) if t2 < dof
+         else regularized_beta(dof / 2.0, 0.5, dof / (dof + t2)))
     return TestResult(stat, min(p, 1.0), dof, k, "t_one_sample")
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from seasonstats import report
-from seasonstats.indices import diversity, entropy, gini, hhi, lorenz
+from seasonstats.indices import _left_sum, diversity, entropy, gini, hhi, lorenz
 from seasonstats.ingest import (
     MONTHS_PER_YEAR,
     CountMatrix,
@@ -27,8 +27,6 @@ from seasonstats.report import (
     AnalysisBundle,
     AnalysisOptions,
     build_bundle,
-    format_number,
-    quote_half_down,
     render,
 )
 from seasonstats.probability import normalize
@@ -47,31 +45,24 @@ def _doc(documents, name):
     return next(d for d in documents if d.name == name)
 
 
-def test_rounding_helpers():
-    assert format_number(11.574, 4) == "11.5740"
-    assert format_number(0.084375, 5) == "0.08438"
-    assert format_number(23.2776, 5) == "23.27760"
-    assert format_number(0.0, 7) == "0.0000000"
-    assert format_number(3e-7, 7) == "0.0000003"
+def test_rounded_texts():
+    assert report._rounded([11.574, None], 4, ROUND_HALF_UP) == ["11.5740", None]
+    assert report._rounded([0.084375, 23.2776], 5, ROUND_HALF_UP) == ["0.08438", "23.27760"]
+    assert report._rounded([0.0, 3e-7], 7, ROUND_HALF_UP) == ["0.0000000", "0.0000003"]
+    # the index inputs' tie rule, that of the reference tables
+    assert report._rounded([17 / 32, 30 / 64], 4, ROUND_HALF_DOWN) == ["0.5312", "0.4687"]
     for bad in (math.inf, -math.inf, math.nan):
         # never "inf", "nan" or "NaN" text in a document, nor a nan index input
-        for rounding in (format_number, quote_half_down):
+        for rounding in (ROUND_HALF_UP, ROUND_HALF_DOWN):
             with pytest.raises(InvalidOperation):
-                rounding(bad, 5)
+                report._rounded([None, bad], 5, rounding)
 
-
-def _reference_quantize(x, places, rounding):
-    # rounding the shortest repr in decimal: the rule both helpers implement
-    return Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-places), rounding=rounding)
-
-def reference_format_number(x, places):
-    return format(_reference_quantize(x, places, ROUND_HALF_UP), "f")
-
-def reference_quote_half_down(x, places):
-    return float(_reference_quantize(x, places, ROUND_HALF_DOWN))
 
 def reference_rounded(values, places, rounding):
-    return [None if x is None else format(_reference_quantize(x, places, rounding), "f")
+    # rounding the shortest repr in decimal: the rule _rounded implements
+    return [None if x is None else
+            format(Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-places),
+                                                    rounding=rounding), "f")
             for x in values]
 
 
@@ -102,44 +93,20 @@ def _rounding_values(draw, places):
         x = draw(st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
     return x * draw(st.sampled_from((1.0, -1.0)))
 
-def _rounding_cases():
-    """(x, places) with places in 1..12."""
-    return st.integers(1, 12).flatmap(
-        lambda places: st.tuples(_rounding_values(places), st.just(places)))
-
-
-@settings(max_examples=1000)
-@given(_rounding_cases())
-@example((0.084375, 5))
-@example((-0.084375, 5))
-@example((2.5, 1))
-@example((0.0, 3))
-@example((-0.0, 3))
-@example((5e-324, 12))
-@example((511.99999999999994, 12))
-@example((512.0, 12))
-@example((1e30, 1))
-def test_rounding_matches_decimal_reference(case):
-    x, places = case
-    for rounding, reference in ((format_number, reference_format_number),
-                                (quote_half_down, reference_quote_half_down)):
-        try:
-            expected = reference(x, places)
-        except ArithmeticError as exc:
-            with pytest.raises(ArithmeticError) as raised:
-                rounding(x, places)
-            assert type(raised.value) is type(exc)
-        else:
-            # repr tells -0.0 from 0.0
-            assert repr(rounding(x, places)) == repr(expected)
-
 
 _ROUNDINGS = st.sampled_from((ROUND_HALF_UP, ROUND_HALF_DOWN))
 
 
-@settings(max_examples=500)
+@settings(max_examples=1000)
 @given(st.integers(1, 12).flatmap(lambda places: st.tuples(
     st.lists(st.none() | _rounding_values(places), max_size=8), st.just(places))), _ROUNDINGS)
+@example(([0.084375, -0.084375], 5), ROUND_HALF_DOWN)
+@example(([2.5], 1), ROUND_HALF_UP)
+@example(([2.5], 1), ROUND_HALF_DOWN)
+@example(([0.0, -0.0], 3), ROUND_HALF_UP)
+@example(([0.0, -0.0], 3), ROUND_HALF_DOWN)
+@example(([5e-324, 511.99999999999994, 512.0], 12), ROUND_HALF_UP)
+@example(([5e-324, 511.99999999999994, 512.0], 12), ROUND_HALF_DOWN)
 @example(([None, 0.0, -0.0, 5e-324, -5e-324, 2.5, 0.084375, -0.084375, None], 5),
          ROUND_HALF_UP)
 @example(([0.5312500, 0.46875, -0.46875, 2.5, -2.5, None], 4), ROUND_HALF_DOWN)
@@ -231,6 +198,23 @@ def test_options_validation():
                    {"z_sigma": float("inf"), "z_null": 0.08}):
         with pytest.raises(DataError, match="must be finite"):
             AnalysisOptions(**fields)
+
+
+def test_options_keep_precision_as_int(jscs_matrices):
+    # an integer-like precision must not reach the documents as itself: JSON
+    # writes only int, and the rounding table is keyed by int
+    class Five:
+        def __index__(self):
+            return 5
+
+    assert type(AnalysisOptions(precision=True).precision) is int
+    options = AnalysisOptions(precision=Five())
+    assert type(options.precision) is int and options.precision == 5
+
+    def json_documents(options):
+        return render(build_bundle(*jscs_matrices, options, journal="JSCS"), "json")
+
+    assert json_documents(options) == json_documents(AnalysisOptions(precision=5))
 
 
 def test_bundle_structure(jscs_bundle):
@@ -450,6 +434,10 @@ def test_float_sums_are_left_folds():
     # sum([1e16, 1.0, -1e16]) is 1.0 and not 0.0; every sum behind the
     # documents adds left to right from 0, so their bytes do not depend on
     # the version. Each case tells that fold from the exactly rounded sum.
+    assert _left_sum([1e16, 1.0, -1e16]) == 0.0 != math.fsum([1e16, 1.0, -1e16])
+    # the fold starts from the int 0, so a lone -0.0 sums to +0.0
+    assert math.copysign(1.0, _left_sum([-0.0])) == 1.0
+    assert _left_sum([]) == 0 and type(_left_sum([])) is int
     assert report._defined_sum([1e16, None, 1.0, -1e16]) == 0.0
     assert normalize([1e16, 1.0, 1.0]) == (1.0, 1e-16, 1e-16)
     assert hhi([1e8, 1.0, 1.0]) == 1e16 != math.fsum([1e16, 1.0, 1.0])
@@ -561,9 +549,9 @@ _JSON_NUMBER_INPUTS = st.one_of(
 @example(-12345678901234.5, 1)
 def test_json_number_is_repr_of_rounded_text(x, places):
     # JSON numbers are the rounded CSV/Markdown text in float.__repr__ form
-    assume(abs(x) < 10.0 ** (26 - places))  # format_number's Decimal fallback limit
-    assert report._json_numbers([x, None], places) == [repr(float(format_number(x, places))),
-                                                       "null"]
+    assume(abs(x) < 10.0 ** (26 - places))  # _rounded's Decimal fallback limit
+    (text,) = report._rounded([x], places, ROUND_HALF_UP)
+    assert report._json_numbers([x, None], places) == [repr(float(text)), "null"]
 
 
 def test_json_documents_are_json_dumps_of_their_numbers(jscs_matrices):

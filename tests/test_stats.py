@@ -11,6 +11,7 @@ from scipy import stats as spstats
 from seasonstats.probability import shares
 from seasonstats.stats import (
     _stdev,
+    _t_test,
     chi_square_uniform,
     describe,
     footer_statistics,
@@ -303,6 +304,20 @@ def test_z_p_value_far_tail_matches_scipy(z):
         ref = 2.0 * spstats.norm.sf(abs(result.statistic))
         assert ref > 0.0
         assert result.p_value == pytest.approx(ref, rel=3e-14)
+
+
+def test_t_p_value_near_zero_matches_closed_forms():
+    # with the default null 0.0833333, a share column's t is about 4e-7; there
+    # dof / (dof + t^2) rounds near 1, and a p-value taken from it is up to
+    # 2e-8 off. 2 P(T > t) is (2 / pi) atan(1 / t) for one degree of freedom
+    # and 2 / (s (s + t)) with s = sqrt(2 + t^2) for two
+    for t in (3e-8, 4.2e-7, 1e-4, 0.5, 0.999, 1.001, 1.414, 1.415, 30.0):
+        s = math.sqrt(2.0 + t * t)
+        for dof, expected in ((1, 2.0 / math.pi * math.atan(1.0 / t)), (2, 2.0 / (s * (s + t)))):
+            # mean t and standard deviation sqrt(n) give a statistic of exactly t
+            result = _t_test(dof + 1, t, math.sqrt(dof + 1), 0.0)
+            assert result.statistic == t
+            assert result.p_value == pytest.approx(expected, rel=1e-14), (dof, t)
 
 
 def test_z_matches_normal_tail():
