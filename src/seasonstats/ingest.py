@@ -285,9 +285,24 @@ def parse_events(text: str, journal: str) -> list:
     return _tally(journal, Counter(events))
 
 
-def _matrices(cells: dict, years: tuple) -> tuple:
-    """The (submitted, accepted) pair over `years` from {(year, month):
-    (submitted, accepted)}; a month without a cell counts as zero."""
+def _matrices(rows: Sequence[tuple], years: "Sequence[int] | None", complete: bool) -> tuple:
+    """The (submitted, accepted) pair over `years` (default: every year from the
+    first row's to the last's; given years must be contiguous) from one
+    journal's counts rows. A repeated month is refused; a month without a row
+    is refused when `complete` and counts as zero otherwise."""
+    years = _year_span((r[1] for r in rows), years)
+    cells = {}
+    for journal, year, month, submitted, accepted in rows:
+        if year not in years:
+            continue
+        if (year, month) in cells:
+            raise DataError(f"duplicate row for {journal} {year}-{month:02d}")
+        cells[year, month] = (submitted, accepted)
+    if complete:
+        for y in years:
+            for m in range(1, MONTHS_PER_YEAR + 1):
+                if (y, m) not in cells:
+                    raise DataError(f"missing month {y}-{m:02d} for journal {rows[0][0]!r}")
     grid = [[cells.get((year, month), (0, 0)) for year in years]
             for month in range(1, MONTHS_PER_YEAR + 1)]
     return (CountMatrix(years, tuple(tuple(c[0] for c in row) for row in grid), "submitted"),
@@ -297,10 +312,11 @@ def _matrices(cells: dict, years: tuple) -> tuple:
 def aggregate(rows: Sequence[tuple], years: "Sequence[int] | None" = None) -> tuple:
     """The (submitted, accepted) pair over `years` (default: the first row's year
     to the last's; given years must be contiguous) from one journal's counts
-    rows as `parse_events` returns them; a month without a row counts as zero."""
-    years = _year_span((r[1] for r in rows), years)
-    submitted, accepted = _matrices({(r[1], r[2]): r[3:] for r in rows}, years)
+    rows as `parse_events` returns them; a repeated month is refused, and a
+    month without a row counts as zero."""
+    submitted, accepted = _matrices(rows, years, complete=False)
     if not any(submitted.totals):
+        years = submitted.years
         raise DataError(f"empty selection: no events in {years[0]}-{years[-1]}")
     return submitted, accepted
 
@@ -350,17 +366,4 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
     mine = [r for r in rows if r[0] == journal]
     if not mine:
         raise DataError(f"empty selection: no rows for journal {journal!r}")
-    years = _year_span((r[1] for r in mine), years)
-    cells = {}
-    for _, year, month, submitted, accepted in mine:
-        if year not in years:
-            continue
-        key = (year, month)
-        if key in cells:
-            raise DataError(f"duplicate row for {journal} {year}-{month:02d}")
-        cells[key] = (submitted, accepted)
-    for y in years:
-        for m in range(1, MONTHS_PER_YEAR + 1):
-            if (y, m) not in cells:
-                raise DataError(f"missing month {y}-{m:02d} for journal {journal!r}")
-    return _matrices(cells, years)
+    return _matrices(mine, years, complete=True)

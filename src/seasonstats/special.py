@@ -61,29 +61,27 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         raise ValueError(f"gamma continued fraction did not converge in {_MAX_ITER} terms")
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x)."""
+def _gamma_pq(a: float, x: float) -> tuple:
+    """(P(a, x), Q(a, x)), one of them from its expansion and the other as 1 minus it."""
     if a <= 0:
         raise ValueError("shape parameter must be positive")
     if x < 0:
         raise ValueError("argument must be non-negative")
     if x == 0:
-        return 0.0
+        return 0.0, 1.0
     if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+        p = _gamma_p_series(a, x)
+        return p, 1.0 - p
+    q = _gamma_q_contfrac(a, x)
+    return 1.0 - q, q
+
+def regularized_gamma_p(a: float, x: float) -> float:
+    """Lower regularized incomplete gamma P(a, x)."""
+    return _gamma_pq(a, x)[0]
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    return _gamma_pq(a, x)[1]
 
 def chi_square_sf(x: float, dof: int) -> float:
     """Upper tail of the chi-square distribution with `dof` degrees of freedom."""

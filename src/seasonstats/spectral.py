@@ -18,12 +18,10 @@ a transform of zeros stays exactly zero: an impulse gives exactly equal
 magnitudes, and the tie rule of `top_peaks` sees exact ties.
 
 The tables a length needs (the roots of unity, the sample order and the
-levels' rotations) do not depend on the series, so they are built once
-per length and kept for the last eight lengths used (`_plan`). A level of
-radix p keeps its rotations, (p - 1) T references, when that is at most
-`_STORED_LIMIT`; a level with more, such as the radix-499 level of
-T = 12 x 499, builds them from the roots on each transform. So a length
-keeps O(T) memory whatever its factors: about 30 kB at T = 240.
+levels) do not depend on the series, so they are built once per length
+and kept for the last eight lengths used (`_plan`). Each level builds its
+rotations from the roots on every transform, so a length keeps O(T)
+memory whatever its factors.
 """
 from __future__ import annotations
 
@@ -32,10 +30,6 @@ import math
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Sequence
-
-# a level keeps its rotations, one reference per bin of each transform it
-# produces, when that takes at most this many references (512 KiB)
-_STORED_LIMIT = 1 << 16
 
 
 class SpectralPeak(NamedTuple):
@@ -49,7 +43,6 @@ class _Level(NamedTuple):
     blocks: int  # S: the number of transforms the level produces
     length: int  # n = T / S, the length of each
     bins: int  # the bins computed of each: n, or 0 .. T/2 at the top
-    rotations: "tuple | None"  # _rotation for r = 1 .. p-1, or None if not kept
 
 
 def _smallest_factor(n: int) -> int:
@@ -104,11 +97,7 @@ def _plan(T: int) -> tuple:
     blocks, n = 1, T
     for p in factors:
         # the top level needs bins 0 .. T/2 only
-        level = _Level(p, blocks, n, T // 2 + 1 if blocks == 1 else n, None)
-        if (p - 1) * T <= _STORED_LIMIT:
-            level = level._replace(rotations=tuple(tuple(_rotation(twiddle, r, level))
-                                                   for r in range(1, p)))
-        levels.append(level)
+        levels.append(_Level(p, blocks, n, T // 2 + 1 if blocks == 1 else n))
         blocks *= p
         n //= p
     return itemgetter(*order), twiddle, tuple(reversed(levels))
@@ -118,7 +107,8 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
     """Magnitudes |X_k| at frequencies k/T for k = 1 .. T//2.
 
     X_k = sum_t x_t exp(-2 pi i k t / T), computed by a mixed-radix FFT
-    from the tables `_plan` keeps for T.
+    from the tables `_plan` keeps for T; each level builds its rotations
+    from the roots as it runs.
     """
     series = [float(v) for v in x]
     T = len(series)
@@ -133,9 +123,8 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
         # which no magnitude sees
         out = lower[0::p] * p
         for r in range(1, p):
-            rotation = (_rotation(twiddle, r, level) if level.rotations is None
-                        else level.rotations[r - 1])
-            out = [o + y * c for o, y, c in zip(out, lower[r::p] * p, rotation)]
+            out = [o + y * c for o, y, c in zip(out, lower[r::p] * p,
+                                                _rotation(twiddle, r, level))]
     return tuple([(k / T, abs(out[k])) for k in range(1, T // 2 + 1)])
 
 

@@ -141,19 +141,24 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     return TestResult(stat, chi_square_sf(stat, dof), dof, expected, "chi_square")
 
 
+def _t_tail(t2: float, dof: int) -> float:
+    """The two-sided tail 2 P(T > |t|) of Student's t at t^2 = t2.
+
+    It is I_x(dof/2, 1/2) with x = dof/(dof+t^2); for t^2 < dof, x rounds
+    near 1, so the tail is 1 - I_{1-x}(1/2, dof/2) there.
+    """
+    if t2 < dof:
+        return 1.0 - regularized_beta(0.5, dof / 2.0, t2 / (dof + t2))
+    return regularized_beta(dof / 2.0, 0.5, dof / (dof + t2))
+
+
 def t_cdf(t: float, dof: int) -> float:
-    """Cumulative distribution function of Student's t."""
+    """Cumulative distribution function of Student's t, from the two-sided
+    tail, so neither side loses precision far out."""
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if t == 0.0:
-        return 0.5
-    t2 = t * t
-    # branch on the smaller beta argument so neither tail loses precision
-    if t2 < dof:
-        p = 0.5 + 0.5 * regularized_beta(0.5, dof / 2.0, t2 / (dof + t2))
-    else:
-        p = 1.0 - 0.5 * regularized_beta(dof / 2.0, 0.5, dof / (dof + t2))
-    return p if t > 0 else 1.0 - p
+    tail = _t_tail(t * t, dof)
+    return 1.0 - 0.5 * tail if t > 0 else 0.5 * tail
 
 
 def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
@@ -161,12 +166,7 @@ def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
         raise ValueError("degenerate sample: zero standard deviation")
     stat = _standard_score("t", mean - k, std, n)
     dof = n - 1
-    # two-sided tail directly: 2 P(T > |t|) = I_x(dof/2, 1/2), x = dof/(dof+t^2);
-    # for t^2 < dof, x rounds near 1, so the tail is 1 - I_{1-x}(1/2, dof/2) there
-    t2 = stat * stat
-    p = (1.0 - regularized_beta(0.5, dof / 2.0, t2 / (dof + t2)) if t2 < dof
-         else regularized_beta(dof / 2.0, 0.5, dof / (dof + t2)))
-    return TestResult(stat, min(p, 1.0), dof, k, "t_one_sample")
+    return TestResult(stat, min(_t_tail(stat * stat, dof), 1.0), dof, k, "t_one_sample")
 
 
 def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:

@@ -126,6 +126,16 @@ def test_aggregate_default_years_span_first_to_last():
     assert aggregate(gap) == aggregate(gap, range(2012, 2015))
 
 
+def test_aggregate_rejects_repeated_months():
+    # the same rule as matrices_from_counts: a second row for a month is refused,
+    # not laid over the first
+    with pytest.raises(DataError, match="^duplicate row for J 2012-01$"):
+        aggregate([("J", 2012, 1, 1, 1), ("J", 2012, 1, 2, 0)])
+    # a repeated month outside the selected years is never read
+    assert aggregate([("J", 2011, 1, 1, 1), ("J", 2011, 1, 2, 0), ("J", 2012, 1, 1, 1)],
+                     (2012,))[0].totals == (1,)
+
+
 def _parse_all_then_filter(text, journal):
     """Reference: read every event, then keep one journal's (date, decision)
     pairs, in input order."""

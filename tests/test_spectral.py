@@ -81,7 +81,7 @@ def _random_series(T):
 
 def test_tables_kept_per_length_give_reference_magnitudes():
     # each length's first transform builds its tables, later ones reuse them;
-    # 948 = 12 x 79 builds its radix-79 rotations on every transform
+    # 948 = 12 x 79 adds a radix-79 level
     spectral._plan.cache_clear()
     for T in (240, 36, 241, 240, 120, 948, 36, 241, 120, 948):
         for x in _random_series(T):
@@ -90,10 +90,8 @@ def test_tables_kept_per_length_give_reference_magnitudes():
 
 
 @pytest.mark.parametrize("T", [2, 12, 36, 240, 241, 256])
-def test_rotations_built_per_transform_give_reference_magnitudes(T, monkeypatch):
-    # with no rotations kept, every level builds its own on each transform,
-    # as the large-radix levels of long series do
-    monkeypatch.setattr(spectral, "_STORED_LIMIT", 0)
+def test_rotations_built_per_transform_give_reference_magnitudes(T):
+    # every level builds its rotations from the kept roots on each transform
     spectral._plan.cache_clear()
     try:
         for x in _random_series(T):

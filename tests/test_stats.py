@@ -320,6 +320,16 @@ def test_t_p_value_near_zero_matches_closed_forms():
             assert result.p_value == pytest.approx(expected, rel=1e-14), (dof, t)
 
 
+def test_t_cdf_lower_tail_matches_closed_forms():
+    # the lower tail is half the two-sided tail, not 1 minus the upper CDF,
+    # which cancels far out: atan(1/|t|) / pi for one degree of freedom and
+    # 1 / (s (s + |t|)) with s = sqrt(2 + t^2) for two
+    for t in (-1e3, -1e6):
+        s = math.sqrt(2.0 + t * t)
+        for dof, expected in ((1, math.atan(1.0 / -t) / math.pi), (2, 1.0 / (s * (s - t)))):
+            assert t_cdf(t, dof) == pytest.approx(expected, rel=1e-13, abs=0), (dof, t)
+
+
 def test_z_matches_normal_tail():
     x = [0.2, 0.4, 0.6, 0.8]
     result = z_one_sample(x, 0.5, 0.2)
