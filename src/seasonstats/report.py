@@ -10,8 +10,8 @@ value) pair of its column; `render` lays the rows out as CSV, Markdown or
 JSON at `AnalysisOptions.precision` and computes no statistics.
 
 One kernel, `_rounded`, rounds every printed or quoted number, a row or
-column at a time: a grid row, a JSON column or row, an index-block input
-column per call.
+column at a time: a grid row, a JSON row, an index-block input column per
+call.
 
 Index-block inputs are taken from the tables at their quoted precision:
 shares at the configured precision, acceptance ratios at the four decimal
@@ -362,12 +362,12 @@ def _nest_columns(layout: _Layout, places):
     # JSON footers list z and z_p last, after the band rows, where the grids
     # put them after t_p; the JSON bytes are part of the contract
     footers.sort(key=lambda row: row[0][0] in ("z", "z_p"))
-    def cells(rows, texts):
-        return {row: text for ((row,), _), text in zip(rows, texts)}
-    texts = [_json_numbers(column, places) for column in zip(*(v for _, v in months + footers))]
-    return {"columns": {label: {"months": cells(months, t),
-                                "footer": cells(footers, t[MONTHS_PER_YEAR:])}
-                        for label, t in zip(layout.value_names, texts)}}
+    columns = {label: {"months": {}, "footer": {}} for label in layout.value_names}
+    for part, rows in (("months", months), ("footer", footers)):
+        for (row,), values in rows:
+            for label, text in zip(layout.value_names, _json_numbers(values, places)):
+                columns[label][part][row] = text
+    return {"columns": columns}
 
 def _nest_blocks(layout: _Layout, places):
     blocks = {}

@@ -343,6 +343,27 @@ def test_overflowing_z_statistic_exits_1(tmp_path, capsys, sigma):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("counts, journal, flags, message", [
+    ("journal,year,month,submitted,accepted\nJ,2012,1,-5,1\n", "J", [],
+     "negative count at line 2"),
+    # the raw conditional ratios do not sum to 1, so near q = 1 their
+    # diversity passes the float range
+    (None, "JSCS", ["--q", "0.9999999"],
+     "t5_indices conditional, column 2012: diversity is not finite for this input"),
+], ids=["negative-count", "q-near-1"])
+def test_refused_value_exits_1_with_its_message(tmp_path, capsys, counts, journal, flags,
+                                                message):
+    path = DATA_DIR / "journal_counts.csv"
+    if counts is not None:
+        path = tmp_path / "input.csv"
+        path.write_text(counts, encoding="utf-8")
+    code = _run(["--input", path, "--format", "counts", "--journal", journal, *flags,
+                 "--out", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == f"analyze: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_precision_flag(counts_csv, tmp_path):
     out = tmp_path / "p4"
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",

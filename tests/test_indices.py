@@ -13,6 +13,7 @@ from seasonstats.indices import (
     exponential_entropy,
     gini,
     hhi,
+    index_summary,
     lorenz,
     monthly_entropy_terms,
     theil,
@@ -102,6 +103,8 @@ def test_diversity_orders():
     assert diversity([0.5, 0.3, 0.2], 5000.0) == pytest.approx(2.0, rel=1e-3)
     with pytest.raises(ValueError, match="non-negative"):
         diversity(UNIFORM_12, -1.0)
+    with pytest.raises(ValueError, match="^diversity order must be non-negative$"):
+        index_summary(UNIFORM_12, (1.0, -1.0))
     with pytest.raises(ValueError, match="all entries are zero"):
         diversity([0.0, 0.0], 2.0)
 
@@ -204,3 +207,5 @@ def test_none_entries_are_skipped():
     assert gini([0.5, None, 0.5]) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError, match="no defined"):
         entropy([None, None])
+    with pytest.raises(ValueError, match="^negative entry in distribution$"):
+        entropy([0.5, -0.1])

@@ -79,10 +79,14 @@ def test_parse_events_errors_carry_line_numbers():
      ["journal,year,month,submitted,accepted", '"J', 'X",2012,1,5,3',
       "JSCS,2012,1,5,3", "JSCS,2012,13,5,3"],
      r"^month out of range at line 5$"),
-], ids=["events", "counts"])
+    (parse_counts,
+     ["journal,year,month,submitted,accepted", '"J', 'X",2012,1,5,3',
+      "", "JSCS,2012,1,-5,3"],
+     r"^negative count at line 5$"),
+], ids=["events", "counts", "counts-blank-line"])
 def test_errors_name_the_line_after_a_field_over_two_lines(parse, lines, message):
-    # the quoted label on lines 2-3 is one record, so the bad row, the fourth
-    # record, is on line 5
+    # the quoted label on lines 2-3 is one record, so the bad row is on line 5;
+    # a blank line is skipped but still counted
     text = _csv(*lines)
     for stream in (text, text[:-1]):
         with pytest.raises(DataError, match=message):

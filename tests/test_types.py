@@ -9,18 +9,24 @@ from seasonstats import (AnalysisBundle, AnalysisOptions, CountMatrix, DataError
                          DescriptiveStats, MonthTable, NamedDocument,
                          SpectralPeak, describe, render)
 
+_COUNTS = {"years": (2012,), "counts": ((1,),) * 12, "outcome": "submitted"}
+
 # (type, valid fields in field order, field to break, bad value, error, message)
 VALIDATED = [
-    (CountMatrix, {"years": (2012,), "counts": ((1,),) * 12, "outcome": "submitted"},
-     "counts", ((1,),) * 11, DataError, "count matrix must have 12 month rows"),
-    (AnalysisOptions, {"q_orders": (1.0, 2.0), "precision": 5, "t_null": 0.1,
-                       "z_sigma": None, "z_null": None},
-     "precision", 5.5, DataError, "precision must be an integer"),
+    pytest.param(CountMatrix, _COUNTS, "counts", ((1,),) * 11, DataError,
+                 "count matrix must have 12 month rows", id="CountMatrix"),
+    pytest.param(CountMatrix, _COUNTS, "years", (), DataError,
+                 "count matrix must cover at least one year", id="CountMatrix-no-years"),
+    pytest.param(CountMatrix, _COUNTS, "counts", ((1, 1),) * 12, DataError,
+                 "count row width does not match year list", id="CountMatrix-row-width"),
+    pytest.param(AnalysisOptions, {"q_orders": (1.0, 2.0), "precision": 5, "t_null": 0.1,
+                                   "z_sigma": None, "z_null": None},
+                 "precision", 5.5, DataError, "precision must be an integer",
+                 id="AnalysisOptions"),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, name, bad, error, message", VALIDATED,
-                         ids=[case[0].__name__ for case in VALIDATED])
+@pytest.mark.parametrize("cls, fields, name, bad, error, message", VALIDATED)
 def test_bad_field_refused_on_every_path(cls, fields, name, bad, error, message):
     assert tuple(fields) == cls._fields
     good = cls(**fields)
