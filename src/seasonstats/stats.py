@@ -10,7 +10,6 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
-from .indices import _left_sum
 from .special import chi_square_sf, normal_cdf, regularized_beta
 
 
@@ -122,8 +121,9 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     """Goodness of fit of integer counts against equal expected counts.
 
     The statistic is sum((O - T/n)^2 / (T/n)) with T the total count and
-    n the number of categories; the p-value is the upper chi-square tail
-    with n - 1 degrees of freedom.
+    n the number of categories, computed as (n sum(O^2) - T^2) / T from the
+    integer counts with one rounding; the p-value is the upper chi-square
+    tail with n - 1 degrees of freedom.
     """
     observed = [int(c) for c in counts]
     if any(c < 0 for c in observed):
@@ -134,7 +134,7 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     n = len(observed)
     try:
         expected = total / n
-        stat = _left_sum([(o - expected) ** 2 / expected for o in observed])
+        stat = (n * sum(o * o for o in observed) - total * total) / total
     except OverflowError:
         raise ValueError("chi-square statistic overflows the float range") from None
     dof = n - 1

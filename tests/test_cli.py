@@ -465,10 +465,11 @@ def test_line_numbers_follow_csv_records(tmp_path, capsys, input_format, separat
     assert not (tmp_path / "none").exists()
 
 
-@pytest.mark.parametrize("exponent", [200, 400])
+@pytest.mark.parametrize("exponent", [307, 400])
 def test_chi_square_past_the_float_range_exits_1(tmp_path, exponent):
-    # month m has m * 10**exponent submissions: the squared deviations pass
-    # the float range at 200, the expected count itself at 400
+    # month m has m * 10**exponent submissions: at 307 the statistic, 2.2e308,
+    # passes the float range while the expected count is 6.5e307; at 400 the
+    # expected count itself does
     path = tmp_path / "huge.csv"
     path.write_text("journal,year,month,submitted,accepted\n" + "".join(
         f"J,2012,{m},{m * 10 ** exponent},{m}\n" for m in range(1, 13)), encoding="utf-8")

@@ -380,12 +380,20 @@ def test_parse_events_matches_reference_past_the_field_limit(lines):
 def test_parse_events_splits_clean_text_without_csv(monkeypatch):
     clean = ["journal,submitted_at,decision"] + [
         f"{('JSCS', 'Entropy')[i % 2]},2012-{i % 12 + 1:02d}-{i % 28 + 1:02d},"
-        f"{DECISIONS[i % 3 == 0]}" for i in range(1000)]
+        f"{DECISIONS[i % 3 == 0]}" for i in range(1000)] + [
+        "JSCS,2016-02-29,accepted", "Entropy,2013-12-31,rejected", "JSCS,2014-12-31,rejected"]
     text = _csv(*clean)
     expected = _tally_rows("JSCS", _parse_all_then_filter(text, "JSCS"))
-    # 500 JSCS events in the six odd months of 2012
-    assert [row[2] for row in expected] == [1, 3, 5, 7, 9, 11]
-    assert sum(row[3] for row in expected) == 500
+    # 500 JSCS events in the six odd months of 2012, one at the end of 2014
+    # and one on a leap day
+    assert [row[1:3] for row in expected] == [
+        *((2012, month) for month in (1, 3, 5, 7, 9, 11)), (2014, 12), (2016, 2)]
+    assert sum(row[3] for row in expected) == 502
+    # a date padded with spaces goes to csv.reader, which strips it
+    padded = (text.replace(",2012-01-", ", 2012-01-"),
+              text.replace("-15,", "-15\t,").replace(",2016-02-29,", ", 2016-02-29  ,"))
+    for stream in padded:
+        assert parse_events(stream, "JSCS") == expected
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader called")
@@ -399,12 +407,34 @@ def test_parse_events_splits_clean_text_without_csv(monkeypatch):
                 assert parse_events(stream, "JSCS") == expected
         quoted = text.replace("\nJSCS,", '\n"JSCS",', 1)
         lone_cr = text.replace("\n", "\r\n").replace("\r\n", "\r", 1)
-        for stream in (quoted, lone_cr):
+        for stream in (quoted, lone_cr, *padded):
             with pytest.raises(AssertionError, match="csv.reader called"):
                 parse_events(stream, "JSCS")
     # two 2-field lines split at their commas into three fields, as one row does
     with pytest.raises(DataError, match="^expected 3 columns at line 2, got 2$"):
         parse_events(f"{clean[0]}\nJ07,\n2012-01-15,accepted\n", "J07")
+    # a date of the right shape that names no day, or not in ASCII digits, is
+    # reported by csv.reader as the reference reports it
+    for bad in ("2013-02-29", "2012-13-01", "2012-00-10", "0000-01-01", "２０１２-01-15"):
+        lines = clean.copy()
+        lines[700] = f"Entropy,{bad},accepted"
+        _assert_same_error(_csv(*lines), f"^invalid date '{bad}' at line 701: ")
+    # below a date's ten characters the field limit refuses the header, as
+    # csv.reader does, before any date is read
+    old = csv.field_size_limit(9)
+    try:
+        _assert_same_error(text, r"^unreadable CSV at line 1: field larger than field limit \(9\)$")
+    finally:
+        csv.field_size_limit(old)
+
+
+def _assert_same_error(text, pattern):
+    """`parse_events` raises the reference's DataError on `text`, which matches `pattern`."""
+    with pytest.raises(DataError, match=pattern) as reference:
+        _parse_all_then_filter(text, "JSCS")
+    with pytest.raises(DataError) as raised:
+        parse_events(text, "JSCS")
+    assert str(raised.value) == str(reference.value)
 
 
 def test_count_matrix_validation():
