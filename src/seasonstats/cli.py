@@ -8,12 +8,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from datetime import MAXYEAR, MINYEAR
 from pathlib import Path
 
 from . import __version__
-from .ingest import (MONTHS_PER_YEAR, DataError, _plain_numbers, aggregate, matrices_from_counts,
-                     parse_counts, parse_events)
+from .ingest import (MAXYEAR, MINYEAR, MONTHS_PER_YEAR, DataError, _plain_numbers, aggregate,
+                     matrices_from_counts, parse_counts, parse_events)
 from .report import FORMATS, AnalysisOptions, build_bundle, render
 
 class _Parser(argparse.ArgumentParser):

@@ -13,11 +13,13 @@ import operator
 import re
 from collections import Counter
 from contextlib import contextmanager
-from datetime import MAXYEAR, MINYEAR, date
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 MONTHS_PER_YEAR = 12
+# datetime's year range, which date.fromisoformat reads; datetime itself is
+# imported only where events input needs date
+MINYEAR, MAXYEAR = 1, 9999
 DECISIONS = ("accepted", "rejected")
 
 EVENT_HEADER = ("journal", "submitted_at", "decision")
@@ -126,6 +128,7 @@ def _iso_month(field: str) -> tuple:
     # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
     if len(field) != 10 or field[4] != "-" or field[7] != "-":
         raise ValueError("expected YYYY-MM-DD")
+    from datetime import date
     day = date.fromisoformat(field)
     return day.year, day.month
 
@@ -231,6 +234,7 @@ def _split_events(text: str, journal: str) -> "Counter | None":
     chars = "".join(dates)
     if chars[4::10].strip("-") or chars[7::10].strip("-"):
         return None
+    from datetime import date
     try:
         days = dict(zip(dates, map(date.fromisoformat, dates)))
     except ValueError:

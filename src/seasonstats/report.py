@@ -27,8 +27,6 @@ import io
 import math
 import operator
 from functools import partial
-from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .indices import _left_sum, entropy, index_summary, monthly_entropy_terms
@@ -49,35 +47,48 @@ DOCUMENT_NAMES = ("t1_submitted", "t2_accepted", "t3_conditional",
                   "t4_monthly_entropy", "t5_indices", "t6_fourier")
 FORMATS = ("csv", "json", "md")
 TOP_PEAK_COUNT = 2
+# the rounding rules of _rounded, equal to decimal's constants of these names;
+# decimal itself is imported only for the values its fast path does not take
+ROUND_HALF_UP = "ROUND_HALF_UP"
+ROUND_HALF_DOWN = "ROUND_HALF_DOWN"
 # acceptance ratios are quoted one place short of shares in the reference
 # layout; the index chain reads them at that quotation
 RATIO_QUOTED_PLACES = 4
 
 
-# places -> (bound, "%.{places}f", "%.{places+1}f"), one entry per precision
-# the options accept. Below the bound, ulp(x) <= 2**-(10**(places+1)).bit_length()
-# < 10**-(places+1), so the interval of reals that round to x holds at most
-# one (places+1)-decimal string. The shortest repr and the exact binary value
-# of x then lie on the same side of every rounding midpoint, unless the repr
-# is that midpoint: exactly places+1 decimals ending in 5, which the probe
-# format finds.
+# places -> (bound, "%.{places}f", "%.{places+1}f", a quarter of 10**-places),
+# one entry per precision the options accept. Below the bound,
+# ulp(x) <= 2**-(10**(places+1)).bit_length() < 10**-(places+1), so the
+# interval of reals that round to x holds at most one (places+1)-decimal
+# string. The shortest repr and the exact binary value of x then lie on the
+# same side of every rounding midpoint, unless the repr is that midpoint:
+# exactly places+1 decimals ending in 5, which the probe format finds. Such
+# an x moved a quarter unit toward the side the rule picks lies at least a
+# tenth of a unit from every midpoint, so its fixed-point text is the
+# midpoint rounded by the rule.
 _FAST_ROUNDING = {places: (2.0 ** (53 - (10 ** (places + 1)).bit_length()),
-                           f"%.{places}f", f"%.{places + 1}f")
+                           f"%.{places}f", f"%.{places + 1}f", 0.25 / 10 ** places)
                   for places in range(1, 13)}
 
 def _rounded(values, places: int, rounding: str) -> list:
     """Each value's repr rounded to `places` decimals (a key of _FAST_ROUNDING)
     by `rounding` (ROUND_HALF_UP or ROUND_HALF_DOWN) as fixed-point text, None
-    kept. The Decimal fallback raises InvalidOperation for a non-finite value
-    or one past 28 digits."""
-    bound, text, probe = _FAST_ROUNDING[places]
+    kept. The Decimal fallback raises decimal.InvalidOperation for a
+    non-finite value or one past 28 digits."""
+    bound, text, probe, quarter = _FAST_ROUNDING[places]
+    away = quarter if rounding == ROUND_HALF_UP else -quarter
     out = []
     for x in values:
         if x is None:
             out.append(None)
-        elif -bound < x < bound and ((tail := probe % x)[-1] != "5" or float(tail) != x):
+        elif -bound < x < bound:
+            tail = probe % x
+            if tail[-1] == "5" and float(tail) == x:
+                # away from zero for half up, toward it for half down; a midpoint is not 0
+                x = float(x) + (away if x > 0 else -away)
             out.append(text % x)
         else:
+            from decimal import Decimal, InvalidOperation
             value = Decimal(repr(float(x)))
             if value.is_nan():
                 # quantize passes a quiet NaN through, where an infinity raises
@@ -394,10 +405,11 @@ _NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
 # precision as int
 _LEAVES = {str: str, int: int.__repr__}
 
-def _json_text(value, indent="") -> str:
+def _json_text(value, quote, indent="") -> str:
     """json.dumps(value, indent=2) for str leaves that are JSON text already
-    and int leaves, nested in lists and str-keyed dicts; TypeError for any other
-    type, bool, float, None and tuple included.
+    and int leaves, nested in lists and str-keyed dicts, with each key written
+    by `quote` (json's encode_basestring_ascii); TypeError for any other type,
+    bool, float, None and tuple included.
 
     json writes indented text with its pure-Python encoder, as its C encoder
     writes compact text only; this does the same work in fewer calls.
@@ -413,13 +425,14 @@ def _json_text(value, indent="") -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON object key {key!r} is not a str")
-            items.append(encode_basestring_ascii(key) + ": " + (
-                item if type(item) is str else _json_text(item, inner)))
+            items.append(quote(key) + ": " + (
+                item if type(item) is str else _json_text(item, quote, inner)))
         opening, closing = "{", "}"
     elif type(value) is list:
         if not value:
             return "[]"
-        items = [item if type(item) is str else _json_text(item, inner) for item in value]
+        items = [item if type(item) is str else _json_text(item, quote, inner)
+                 for item in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
@@ -438,19 +451,24 @@ def render(bundle: AnalysisBundle, format: str) -> list:
         raise DataError("empty bundle")
     places = bundle.options.precision
 
+    if format == "json":
+        from json.encoder import encode_basestring_ascii as quote
     documents = []
     for name, layout in _layouts(bundle).items():
         try:
             if format == "json":
-                body = {"name": encode_basestring_ascii(name),
-                        "journal": encode_basestring_ascii(bundle.journal),
+                body = {"name": quote(name), "journal": quote(bundle.journal),
                         "years": list(bundle.years), "precision": places}
                 body.update(_NESTERS[layout.keys](layout, places))
-                text = _json_text(body) + "\n"
+                text = _json_text(body, quote) + "\n"
             else:
                 text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
-        except InvalidOperation:
-            # _rounded's Decimal fallback holds 28 significant digits
+        except ArithmeticError as exc:
+            # only _rounded's Decimal fallback, which holds 28 significant
+            # digits, raises InvalidOperation, and it imported decimal to do so
+            from decimal import InvalidOperation
+            if not isinstance(exc, InvalidOperation):
+                raise
             raise DataError(f"{name}: a value needs more than 28 significant digits "
                             f"at precision {places}") from None
         documents.append(NamedDocument(name, text))

@@ -125,7 +125,13 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     integer counts with one rounding; the p-value is the upper chi-square
     tail with n - 1 degrees of freedom.
     """
-    observed = [int(c) for c in counts]
+    try:
+        observed = [int(c) for c in counts]
+        integral = observed == list(counts)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        integral = False
+    if not integral:
+        raise ValueError("counts must be integers")
     if any(c < 0 for c in observed):
         raise ValueError("counts must be non-negative")
     total = sum(observed)

@@ -53,12 +53,16 @@ def _grid(path):
         return list(csv.reader(handle))
 
 
+def _src_env():
+    """The environment with this checkout's source first on PYTHONPATH."""
+    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def _spawn(args):
     """`python -m seasonstats` with args, on this checkout's source."""
-    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run([sys.executable, "-m", "seasonstats", *map(str, args)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
 
 
 def test_counts_end_to_end(counts_csv, tmp_path, capsys):
@@ -544,16 +548,55 @@ def test_module_invocation():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # start-up is most of a run on the bundled data; `dataclasses` drags in
     # `inspect`, `ast`, `dis` and `tokenize`, which the CLI never uses
-    paths = [str(DATA_DIR.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     probe = "import sys; {}; print(*sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
 
     def loaded(statement):
         result = subprocess.run([sys.executable, "-c", probe.format(statement)],
-                                capture_output=True, text=True, env=env, check=True)
+                                capture_output=True, text=True, env=_src_env(), check=True)
         return set(result.stdout.split())
 
     assert loaded("import seasonstats.cli") <= loaded("pass")
+
+
+def _modules_added(statement):
+    """The modules a fresh interpreter imports while it runs `statement`,
+    without `site`, so that no .pth file imports any of them first."""
+    probe = "import sys; before = set(sys.modules); {}; print(*sorted(set(sys.modules) - before))"
+    result = subprocess.run([sys.executable, "-S", "-c", probe.format(statement)],
+                            capture_output=True, text=True, env=_src_env(), check=True)
+    return set(result.stdout.splitlines()[-1].split())
+
+
+_LAZY_MODULES = {"decimal", "json", "datetime"}
+
+
+def _cli_run(*args, out):
+    """A statement that runs the CLI and fails unless it exits 0."""
+    argv = ["--out", str(out), *map(str, args)]
+    return f"from seasonstats.cli import main; code = main({argv!r}); assert code == 0, code"
+
+
+def test_cli_import_leaves_out_decimal_json_and_datetime():
+    assert not _modules_added("import seasonstats.cli") & _LAZY_MODULES
+
+
+@pytest.mark.parametrize("emit", ["csv", "md"])
+def test_counts_run_leaves_out_decimal_json_and_datetime(counts_csv, tmp_path, emit):
+    added = _modules_added(_cli_run("--input", counts_csv, "--format", "counts",
+                                    "--journal", "JSCS", "--emit", emit, out=tmp_path))
+    assert not added & _LAZY_MODULES
+
+
+def test_json_run_imports_json(counts_csv, tmp_path):
+    added = _modules_added(_cli_run("--input", counts_csv, "--format", "counts",
+                                    "--journal", "JSCS", "--emit", "json", out=tmp_path))
+    assert added & _LAZY_MODULES == {"json"}
+
+
+def test_events_run_imports_datetime(events_csv, tmp_path):
+    added = _modules_added(_cli_run("--input", events_csv, "--format", "events",
+                                    "--journal", "Demo", out=tmp_path))
+    assert added & _LAZY_MODULES == {"datetime"}
 
 
 def test_year_and_order_parsers():

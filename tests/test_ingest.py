@@ -1,6 +1,7 @@
 """Parsing, aggregation, and count-matrix construction."""
 
 import csv
+import datetime
 import io
 from datetime import date
 from unittest import mock
@@ -544,6 +545,11 @@ def test_parse_counts_errors():
             parse_counts(_csv(header, "J,2012,1,5,1", f"J,{year},1,5,1"))
     assert parse_counts(_csv(header, "J,1,1,5,1", "J,9999,12,5,1")) \
         == [("J", 1, 1, 5, 1), ("J", 9999, 12, 5, 1)]
+
+
+def test_year_range_is_datetimes():
+    # ingest states the range so that a counts run need not import datetime
+    assert (ingest.MINYEAR, ingest.MAXYEAR) == (datetime.MINYEAR, datetime.MAXYEAR)
 
 
 @pytest.mark.parametrize("row", [

@@ -7,6 +7,7 @@ import math
 import re
 import struct
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,34 @@ def test_rounded_texts():
         for rounding in (ROUND_HALF_UP, ROUND_HALF_DOWN):
             with pytest.raises(InvalidOperation):
                 report._rounded([None, bad], 5, rounding)
+
+
+def test_rounded_midpoints_at_carry_sign_and_bound_edges():
+    # a repr midpoint is moved a quarter unit toward the side the rule picks
+    # and formatted; the move must carry through every digit, keep the sign
+    # of a result that rounds to zero, and stay exact next to the fast bound
+    cases = [
+        (0.99995, 4, ROUND_HALF_UP, "1.0000"),
+        (0.99995, 4, ROUND_HALF_DOWN, "0.9999"),
+        (9.99995, 4, ROUND_HALF_UP, "10.0000"),
+        (-9.99995, 4, ROUND_HALF_UP, "-10.0000"),
+        (-0.00005, 4, ROUND_HALF_DOWN, "-0.0000"),
+        (-0.00005, 4, ROUND_HALF_UP, "-0.0001"),
+        (0.00005, 4, ROUND_HALF_DOWN, "0.0000"),
+        (511.9999999999995, 12, ROUND_HALF_UP, "512.000000000000"),
+        (511.9999999999995, 12, ROUND_HALF_DOWN, "511.999999999999"),
+        (-511.9999999999995, 12, ROUND_HALF_UP, "-512.000000000000"),
+        (-511.9999999999995, 12, ROUND_HALF_DOWN, "-511.999999999999"),
+    ]
+    for x, places, rounding, text in cases:
+        assert x < report._FAST_ROUNDING[places][0]  # on the fast path
+        assert report._rounded([x], places, rounding) == [text], (x, places, rounding)
+        assert reference_rounded([x], places, rounding) == [text], (x, places, rounding)
+
+
+def test_rounding_rules_are_decimals_constants():
+    # callers may pass decimal's constants or the module's
+    assert (report.ROUND_HALF_UP, report.ROUND_HALF_DOWN) == (ROUND_HALF_UP, ROUND_HALF_DOWN)
 
 
 def reference_rounded(values, places, rounding):
@@ -551,7 +580,8 @@ def test_json_text_is_json_dumps(value):
         if type(item) is list:
             return [leaves_as_text(v) for v in item]
         return item if type(item) is int else json.dumps(item)
-    assert report._json_text(leaves_as_text(value)) + "\n" == json.dumps(value, indent=2) + "\n"
+    assert (report._json_text(leaves_as_text(value), encode_basestring_ascii) + "\n"
+            == json.dumps(value, indent=2) + "\n")
 
 
 _JSON_NUMBER_INPUTS = st.one_of(
@@ -598,7 +628,7 @@ def test_json_text_refuses_other_types():
     for value in (True, (1, 2), {1: "0.5"}, ["null", False], {"a": {None: 1}},
                   0.5, None, [0.5], {"a": None}):
         with pytest.raises(TypeError):
-            report._json_text(value)
+            report._json_text(value, encode_basestring_ascii)
 
 
 def _csv_cells(text):

@@ -221,6 +221,18 @@ def test_chi_square_uniform_is_zero():
         chi_square_uniform([-1] + [1] * 11)
 
 
+@pytest.mark.parametrize("counts", [[1.9, 2.9, 3.9], [0.5, 0.5], [1, math.inf, 2],
+                                    [1, math.nan, 2], [-math.inf, 1]])
+def test_chi_square_uniform_refuses_counts_that_are_not_integers(counts):
+    # int() would test [1.9, 2.9, 3.9] as [1, 2, 3]
+    with pytest.raises(ValueError, match="^counts must be integers$"):
+        chi_square_uniform(counts)
+
+
+def test_chi_square_uniform_takes_integral_floats():
+    assert chi_square_uniform([1.0, 3.0, 9.0, 4.0]) == chi_square_uniform([1, 3, 9, 4])
+
+
 def test_t_cdf_reference_points():
     # classic two-sided 5% critical value for 11 degrees of freedom
     assert t_cdf(2.201, 11) == pytest.approx(0.975, abs=1e-3)
