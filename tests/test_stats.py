@@ -242,6 +242,17 @@ def test_t_cdf_reference_points():
         t_cdf(0.5, 0)
 
 
+def test_t_cdf_refuses_nan_at_once():
+    # refused by regularized_beta's argument check, before any beta term
+    with pytest.raises(ValueError, match=r"^argument must lie in \[0, 1\]$"):
+        t_cdf(math.nan, 3)
+
+
+def test_t_cdf_limits_at_infinity():
+    assert t_cdf(math.inf, 3) == 1.0
+    assert t_cdf(-math.inf, 3) == 0.0
+
+
 @given(st.floats(-30, 30), st.integers(1, 60))
 def test_t_cdf_matches_scipy(t, dof):
     # scipy's t.cdf loses the distance from 1/2 for tiny |t| (it returns 0.5
