@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -148,5 +149,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> int:
+    """`main(argv)` for a process that exits when it returns: the entry of the
+    `analyze` script and of `python -m seasonstats`.
+
+    Every object then alive is frozen into the permanent generation, which the
+    interpreter's full collections at exit skip; reference counting, atexit
+    handlers and the flush of stdout and stderr still run. `main` never
+    freezes, so a process that runs many analyses keeps a collectable heap.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

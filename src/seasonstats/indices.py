@@ -103,7 +103,18 @@ def _diversity(values: list, q: float, h: "float | None" = None) -> float:
 
 def exponential_entropy(p: Vector) -> float:
     """exp(-H), equivalently the product of p_i^p_i."""
-    return math.exp(-entropy(p))
+    return _exp_entropy(entropy(p))
+
+def _exp_entropy(h: float) -> float:
+    """exp(-h), refused as diversity refuses a result that is not finite:
+    entries well above 1 make h large and negative."""
+    try:
+        result = math.exp(-h)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError("exponential entropy is not finite for this input")
+    return result
 
 def theil(p: Vector) -> float:
     """Theil index ln N - H; zero for a uniform distribution.
@@ -164,7 +175,8 @@ def index_summary(p: Vector, q_orders: Sequence[float],
     The diversities are of `hill` at each order in q_orders, of p itself
     when hill is None. Each field equals its separate call bit for bit:
     diversity(hill or p, q), exponential_entropy(p), theil(p), hhi(p) and
-    gini(p). The orders are checked first, then p's entries, then hill's.
+    gini(p), and a field that its call refuses raises the same ValueError.
+    The orders are checked first, then p's entries, then hill's.
     """
     if any(q < 0 for q in q_orders):
         raise ValueError("diversity order must be non-negative")
@@ -175,6 +187,6 @@ def index_summary(p: Vector, q_orders: Sequence[float],
     else:
         hill_values = _defined(hill)
         diversities = tuple(_diversity(hill_values, q) for q in q_orders)
-    return IndexSummary(diversities, math.exp(-h), math.log(len(values)) - h,
+    return IndexSummary(diversities, _exp_entropy(h), math.log(len(values)) - h,
                         _hhi(values), _gini(values))
 

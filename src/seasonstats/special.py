@@ -13,12 +13,15 @@ statistic up to 40; through `stats.t_cdf`, Student's t for 1 to 60 degrees
 of freedom to 1e-10.
 
 An argument outside its domain, NaN included, raises ValueError at once.
-At x = inf the incomplete gamma functions return their limits P = 1 and
-Q = 0, so the chi-square tail there is 0. An expansion that has not
-converged after `_MAX_ITER` terms raises ValueError instead of returning
-its truncated value. The gamma series does so near x = a once a passes
-about 4000 (chi-square with about 8000 degrees of freedom, far past the
-11 a twelve-month column has).
+Shapes must lie below 2**53 and degrees of freedom below 2**54, the range
+where a + 1 differs from a: past it the gamma fraction's leading
+denominator x + 1 - a can round to 0, and the beta prefactor's log-gamma
+terms overflow. At x = inf the incomplete gamma functions return their
+limits P = 1 and Q = 0, so the chi-square tail there is 0. An expansion
+that has not converged after `_MAX_ITER` terms raises ValueError instead
+of returning its truncated value. The gamma series does so near x = a
+once a passes about 4000 (chi-square with about 8000 degrees of freedom,
+far past the 11 a twelve-month column has).
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import math
 _EPS = 1e-15
 _TINY = 1e-300
 _MAX_ITER = 500
+_MAX_SHAPE = 2.0 ** 53  # the first float a with a + 1.0 == a
 
 
 def _lentz(b1: float, terms, name: str) -> float:
@@ -78,6 +82,8 @@ def _gamma_pq(a: float, x: float) -> tuple:
     """(P(a, x), Q(a, x)), one of them from its expansion and the other as 1 minus it."""
     if not a > 0:
         raise ValueError("shape parameter must be positive")
+    if a >= _MAX_SHAPE:
+        raise ValueError("shape parameter must be below 2**53")
     if not x >= 0:
         raise ValueError("argument must be non-negative")
     if x == 0:
@@ -106,6 +112,8 @@ def chi_square_sf(x: float, dof: int) -> float:
     """Upper tail of the chi-square distribution with `dof` degrees of freedom."""
     if not dof >= 1:
         raise ValueError("degrees of freedom must be >= 1")
+    if dof >= 2.0 * _MAX_SHAPE:
+        raise ValueError("degrees of freedom must be below 2**54")
     if not x >= 0:
         raise ValueError("chi-square statistic must be non-negative")
     return regularized_gamma_q(dof / 2.0, x / 2.0)
@@ -124,6 +132,8 @@ def regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if not (a > 0 and b > 0):
         raise ValueError("shape parameters must be positive")
+    if a >= _MAX_SHAPE or b >= _MAX_SHAPE:
+        raise ValueError("shape parameters must be below 2**53")
     if not 0 <= x <= 1:
         raise ValueError("argument must lie in [0, 1]")
     if x == 0:

@@ -59,9 +59,9 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
 
 
-def _spawn(args):
-    """`python -m seasonstats` with args, on this checkout's source."""
-    return subprocess.run([sys.executable, "-m", "seasonstats", *map(str, args)],
+def _spawn(args, module="seasonstats"):
+    """`python -m seasonstats` (or another module) with args, on this checkout's source."""
+    return subprocess.run([sys.executable, "-m", module, *map(str, args)],
                           capture_output=True, text=True, env=_src_env())
 
 
@@ -543,6 +543,67 @@ def test_module_invocation():
     result = subprocess.run([sys.executable, "-m", "seasonstats", "--version"],
                             capture_output=True, text=True)
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("module,emit", [("seasonstats", "csv"), ("seasonstats", "md"),
+                                         ("seasonstats", "json"), ("seasonstats.cli", "csv")])
+def test_module_run_writes_the_goldens(counts_csv, tmp_path, module, emit):
+    # the process entry freezes the heap before exit; the documents, the
+    # streams and the exit code come out as from main
+    result = _spawn(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
+                     "--emit", emit, "--out", tmp_path], module)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, f"wrote 6 documents to {tmp_path}\n", "")
+    goldens = sorted((DATA_DIR / "golden" / "jscs").glob(f"*.{emit}"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [g.name for g in goldens]
+    for golden in goldens:
+        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name
+
+
+# each process entry as a `python -c` statement that takes its arguments from sys.argv
+_ENTRIES = {
+    "run": "from seasonstats.cli import run; sys.exit(run())",
+    "module": "import runpy; runpy.run_module('seasonstats', run_name='__main__')",
+    "main": "from seasonstats.cli import main; sys.exit(main())",
+}
+
+
+def _at_exit(entry, argv):
+    """(exit code, stderr, gc.get_freeze_count() at exit) of a fresh interpreter
+    that runs one of `_ENTRIES` on argv."""
+    probe = ("import atexit, gc, sys; atexit.register(lambda: print(gc.get_freeze_count())); "
+             + _ENTRIES[entry])
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                            capture_output=True, text=True, env=_src_env())
+    return result.returncode, result.stderr, int(result.stdout.split()[-1])
+
+
+def test_process_entries_freeze_and_main_does_not(counts_csv, tmp_path):
+    # main runs many analyses in one process for the tests and the benchmark
+    # worker, so only the process entry may move the heap out of collection
+    argv = ["--input", counts_csv, "--format", "counts", "--journal", "JSCS", "--out", tmp_path]
+    for entry in ("run", "module"):
+        code, _, frozen = _at_exit(entry, argv)
+        assert code == 0 and frozen > 0, entry
+    assert _at_exit("main", argv) == (0, "", 0)
+
+
+def test_analyze_script_enters_through_run():
+    pyproject = (DATA_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nanalyze = "seasonstats.cli:run"\n' in pyproject
+
+
+def test_run_passes_exit_codes_through(counts_csv, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    cases = [(["--journal", "Nope", "--out", tmp_path / "out"], 1,
+              "analyze: empty selection: no rows for journal 'Nope'"),
+             (["--journal", "JSCS", "--out", blocker / "sub"], 2, "analyze: cannot write output: ")]
+    for args, expected, message in cases:
+        argv = ["--input", counts_csv, "--format", "counts", *args]
+        for entry in _ENTRIES:
+            code, stderr, _ = _at_exit(entry, argv)
+            assert code == expected and stderr.startswith(message), (entry, stderr)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -209,3 +209,14 @@ def test_none_entries_are_skipped():
         entropy([None, None])
     with pytest.raises(ValueError, match="^negative entry in distribution$"):
         entropy([0.5, -0.1])
+
+
+@pytest.mark.parametrize("p", [[1e300, 1e-300], [0.5, 0.5, 1e10], [1e308, 1.0]])
+def test_exponential_entropy_not_finite_refused(p):
+    # entries well above 1 make the entropy large and negative, so exp(-H)
+    # overflows; refused as diversity refuses a result that is not finite
+    message = "^exponential entropy is not finite for this input$"
+    with pytest.raises(ValueError, match=message):
+        exponential_entropy(p)
+    with pytest.raises(ValueError, match=message):
+        index_summary(p, (1.0, 2.0))

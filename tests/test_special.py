@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import special as sps
 from scipy import stats as spstats
 
@@ -209,3 +209,39 @@ def test_lentz_guards_carry_a_zero_ratio():
     assert _lentz(1.0, terms, "test") == pytest.approx(1.0, rel=1e-15, abs=0)
     assert next(terms) == (1.0, 1.0, True)
 
+
+@pytest.mark.parametrize("function,args,message", [
+    # at x = a past 2**53, a + 1.0 rounds to a, so the fraction's leading
+    # denominator x + 1 - a is 0 (ZeroDivisionError before the shape check)
+    (regularized_gamma_q, (1e17, 1e17), "shape parameter must be below 2**53"),
+    (regularized_gamma_p, (2.0**53, 2.0**53), "shape parameter must be below 2**53"),
+    (chi_square_sf, (2e17, 2e17), "degrees of freedom must be below 2**54"),
+    # lgamma of the shapes overflows in the prefactor (OverflowError before)
+    (regularized_beta, (1e308, 1e308, 0.5), "shape parameters must be below 2**53"),
+    (regularized_beta, (0.5, 2.0**53, 0.5), "shape parameters must be below 2**53"),
+])
+def test_shapes_past_the_working_range_refused(function, args, message):
+    with pytest.raises(ValueError) as caught:
+        function(*args)
+    assert str(caught.value) == message
+
+
+def test_shapes_just_inside_the_working_range():
+    below = 2.0**53 - 1.0
+    assert regularized_gamma_q(below, 1.0) == 1.0
+    assert chi_square_sf(1.0, 2.0**54 - 2.0) == 1.0
+    assert regularized_beta(below, 1.0, 0.5) == 0.0
+    assert regularized_beta(1.0, below, 0.5) == 1.0
+
+
+@given(st.floats(1e-300, 2.0**53, exclude_max=True), st.floats(1e-300, 2.0**53, exclude_max=True),
+       st.floats(0.0, 1.0))
+@example(2.0**53 - 1.0, 2.0**53 - 1.0, 0.5)  # at the mode, where the prefactor is largest
+@example(2.0**53 - 1.0, 2.0**51, 0.8)
+def test_beta_inside_the_shape_range_raises_only_value_error(a, b, x):
+    # the prefactor's log-gamma sum loses up to a few hundred to rounding at
+    # shapes near 2**53, well short of the 709 where exp overflows
+    try:
+        regularized_beta(a, b, x)
+    except ValueError:
+        pass

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seasonstats import spectral
-from seasonstats.spectral import _smallest_factor, dft_magnitudes, top_peaks
+from seasonstats.spectral import dft_magnitudes, top_peaks
 
 import refvalues as rv
 
@@ -40,12 +40,17 @@ def _plain_sum(terms):
     return total
 
 
+def _smallest_prime_factor(n):
+    # the reference's own, so a change to the package's factor search shows
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
 def _reference_fft(x, twiddle):
     """The FFT as one sum of a generator per output bin, the form whose
     results the goldens were written from."""
     n = len(x)
     w = twiddle[::len(twiddle) // n]
-    p = _smallest_factor(n)
+    p = _smallest_prime_factor(n)
     if p == n:
         return [_plain_sum(v * w[k * t % n] for t, v in enumerate(x)) for k in range(n)]
     m = n // p

@@ -107,6 +107,9 @@ def test_overflowing_values_refused():
     # band is refused; the t statistic needs no band
     with pytest.raises(ValueError, match=r"mean \+/- 2 sd band overflows the float range"):
         describe([1e308, -1e308])
+    # only the high end overflows here (the low end is -8.9e307)
+    with pytest.raises(ValueError, match=r"mean \+/- 2 sd band overflows the float range"):
+        describe([1.5e308, 0.25e308])
     assert t_one_sample([1e308, -1e308], 0.0).statistic == 0.0
     # finite inputs whose t or z statistic passes the float range: a
     # subnormal spread, or a difference from the null past the range
