@@ -10,7 +10,13 @@ scipy to 1e-12 (absolute) for the incomplete gamma functions with shape
 0.5 to 40 and argument up to 50, the incomplete beta function with shapes
 0.5 to 30, and the chi-square tail with 1 to 30 degrees of freedom and
 statistic up to 40; through `stats.t_cdf`, Student's t for 1 to 60 degrees
-of freedom to 1e-10.
+of freedom, and at t = 0.5, 1 and 3 up to 1e5, to 1e-10.
+
+The absolute error of `regularized_beta` grows with its shapes: the
+log-gamma terms of its prefactor, each about a ln a, cancel to a result of
+order one, and keep only their absolute rounding error. `t_cdf(1.0, dof)`
+differs from scipy's by 2.3e-12 at dof 1e4, 7.9e-12 at 1e5, 2.5e-10 at
+1e6, 9.2e-9 at 1e8 and 2.5e-6 at 1e10.
 
 An argument outside its domain, NaN included, raises ValueError at once.
 Shapes must lie below 2**53 and degrees of freedom below 2**54, the range

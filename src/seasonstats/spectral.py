@@ -108,7 +108,9 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
 
     X_k = sum_t x_t exp(-2 pi i k t / T), computed by a mixed-radix FFT
     from the tables `_plan` keeps for T; each level builds its rotations
-    from the roots as it runs.
+    from the roots as it runs. A sample that is not finite, or a magnitude
+    past the float range (such as that of [1e308, -1e308]), raises
+    ValueError.
     """
     series = [float(v) for v in x]
     T = len(series)
@@ -125,7 +127,17 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
         for r in range(1, p):
             out = [o + y * c for o, y, c in zip(out, lower[r::p] * p,
                                                 _rotation(twiddle, r, level))]
-    return tuple([(k / T, abs(out[k])) for k in range(1, T // 2 + 1)])
+    try:
+        magnitudes = list(map(abs, out[1:T // 2 + 1]))
+        if all(map(math.isfinite, magnitudes)):
+            return tuple(zip([k / T for k in range(1, T // 2 + 1)], magnitudes))
+    except OverflowError:  # abs of finite parts whose modulus is past the range
+        pass
+    # nan and inf propagate through every level, so a sample that is not
+    # finite leaves no magnitude finite: when all are, one pass checks both
+    if not all(map(math.isfinite, series)):
+        raise ValueError("samples must be finite")
+    raise ValueError("a spectral magnitude is past the float range")
 
 
 def top_peaks(x: Sequence[float], k: int) -> list:

@@ -486,18 +486,35 @@ def test_chi_square_past_the_float_range_exits_1(tmp_path, exponent):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("emit", ["csv", "json"])
+# row and 2012 cell of t1_submitted: the statistic's repr digits padded with zeros
+_PAST_28_DIGITS = {"--t-null": ("t", "-1468716911839349700000000000.00000"),
+                   "--z-sigma": ("z", "11547005383792490000000000000.00000")}
+
+
+@pytest.mark.parametrize("emit", ["csv", "json", "md"])
 @pytest.mark.parametrize("flags", [["--t-null", "1e25"],
                                    ["--z-sigma", "1e-30", "--z-null", "0.08"]])
 def test_footer_value_past_28_digits_exits_1(tmp_path, capsys, emit, flags):
-    # the t (or z) statistic is about 1e26 (1e28), which has more digits than
-    # the rounding to the precision keeps
+    # the t (or z) statistic is about -1e27 (1e28): more significant digits at
+    # precision 5 than decimal's default context holds, where the run once
+    # exited 1. Every finite value prints in full, and the run exits 0.
+    row, cell = _PAST_28_DIGITS[flags[0]]
+    out = tmp_path / "x"
     code = _run(["--input", DATA_DIR / "journal_counts.csv", "--format", "counts",
-                 "--journal", "JSCS", "--emit", emit, "--out", tmp_path / "x", *flags])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "analyze: t1_submitted: a value needs more than 28 significant digits at precision 5\n")
-    assert not (tmp_path / "x").exists()
+                 "--journal", "JSCS", "--emit", emit, "--out", out, *flags])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    path = out / f"t1_submitted.{emit}"
+    if emit == "json":
+        text = path.read_text(encoding="utf-8")
+        assert f'"{row}": {float(cell)!r},' in text
+        assert json.loads(text)["columns"]["2012"]["footer"][row] == float(cell)
+    elif emit == "csv":
+        assert next(r for r in _grid(path) if r[0] == row)[1] == cell
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = next(line.split("|") for line in lines if line.startswith(f"| {row} "))
+        assert cells[2].strip() == cell
 
 
 def test_unwritable_out_exits_2(counts_csv, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from scipy import special as sps
 from scipy import stats as spstats
 
+from seasonstats import special
 from seasonstats.special import (
     _beta_terms,
     _gamma_q_terms,
@@ -245,3 +246,41 @@ def test_beta_inside_the_shape_range_raises_only_value_error(a, b, x):
         regularized_beta(a, b, x)
     except ValueError:
         pass
+
+
+def _spy(monkeypatch, name, ran, record):
+    """Replace special.<name> with a wrapper that appends record(*args) to ran."""
+    inner = getattr(special, name)
+
+    def wrapper(*args):
+        ran.append(record(*args))
+        return inner(*args)
+    monkeypatch.setattr(special, name, wrapper)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 11.0])
+def test_gamma_expansion_switches_at_a_plus_1(monkeypatch, a):
+    # P's series runs for x < a + 1 and Q's continued fraction from a + 1 on;
+    # both agree with scipy near the switch, so only which one ran shows a move
+    ran = []
+    _spy(monkeypatch, "_gamma_p_series", ran, lambda *args: "series")
+    _spy(monkeypatch, "_lentz", ran, lambda *args: "fraction")
+    switch = a + 1.0  # exact for these shapes
+    for x, expansion in ((math.nextafter(switch, 0.0), "series"), (switch, "fraction")):
+        for function in (regularized_gamma_p, regularized_gamma_q):
+            ran.clear()
+            function(a, x)
+            assert ran == [expansion], (function.__name__, x)
+
+
+@pytest.mark.parametrize("a,b,switch", [(2.0, 1.0, 0.6), (0.5, 5.5, 0.1875), (5.5, 0.5, 0.8125)])
+def test_beta_expansion_switches_at_a_plus_1_over_a_plus_b_plus_2(monkeypatch, a, b, switch):
+    # below (a + 1)/(a + b + 2) the fraction runs on (a, b, x), and from it on
+    # (b, a, 1 - x), for 1 - I_{1-x}(b, a)
+    ran = []
+    _spy(monkeypatch, "_beta_terms", ran, lambda *args: args)
+    below = math.nextafter(switch, 0.0)
+    for x, terms in ((below, (a, b, below)), (switch, (b, a, 1.0 - switch))):
+        ran.clear()
+        regularized_beta(a, b, x)
+        assert ran == [terms], x

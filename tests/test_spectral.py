@@ -190,3 +190,47 @@ def test_top_peaks_ordering():
 def test_dft_requires_two_points():
     with pytest.raises(ValueError):
         dft_magnitudes([1.0])
+
+
+_NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+@pytest.mark.parametrize("T, at", [(2, 0), (3, 1), (12, 11), (240, 117)])
+def test_samples_that_are_not_finite_are_refused(bad, T, at):
+    # [nan, 1.0] once gave an amplitude of nan and [inf, 1.0] one of inf
+    x = [float(t % 5) for t in range(T)]
+    x[at] = bad
+    for call in (dft_magnitudes, lambda x: top_peaks(x, 2)):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            call(x)
+
+
+def test_magnitudes_past_the_float_range_are_refused():
+    # X_1 of [1e308, -1e308] is 2e308, past the range; X_1 of the length-4
+    # series is 1.3e308 + 1.3e308j, whose parts are finite and whose abs
+    # raises OverflowError
+    with pytest.raises(OverflowError):
+        abs(complex(1.3e308, 1.3e308))
+    for x in ([1e308, -1e308], [1.3e308, 0.0, 0.0, 1.3e308]):
+        for call in (dft_magnitudes, lambda x: top_peaks(x, 2)):
+            with pytest.raises(ValueError, match="^a spectral magnitude is past the float range$"):
+                call(x)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-1.7e308, 1.7e308) | st.floats(-1e3, 1e3), min_size=2, max_size=48),
+       st.none() | st.tuples(st.sampled_from(_NOT_FINITE), st.integers(0, 47)))
+def test_magnitudes_are_finite_or_refused(x, bad):
+    # only ValueError leaves dft_magnitudes, and every magnitude it returns is finite
+    if bad is not None:
+        x[bad[1] % len(x)] = bad[0]
+    try:
+        spectrum = dft_magnitudes(x)
+    except ValueError as exc:
+        expected = ("samples must be finite" if bad is not None
+                    else "a spectral magnitude is past the float range")
+        assert str(exc) == expected
+    else:
+        assert bad is None
+        assert all(math.isfinite(m) for _, m in spectrum)

@@ -266,6 +266,15 @@ def test_t_cdf_matches_scipy(t, dof):
     assert t_cdf(t, dof) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("dof", [100, 1000, 10**4, 3 * 10**4, 10**5])
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+def test_t_cdf_matches_scipy_at_large_dof(t, dof):
+    # the incomplete beta's error grows with its shapes (7.9e-12 at dof 1e5 and
+    # 2.5e-10 at 1e6 for t = 1), so 1e-10 holds up to the 1e5 the docs state
+    assert abs(t_cdf(t, dof) - spstats.t.cdf(t, dof)) <= 1e-10
+    assert abs(t_cdf(-t, dof) - spstats.t.cdf(-t, dof)) <= 1e-10
+
+
 @given(st.floats(0, 30), st.integers(1, 60))
 def test_t_cdf_symmetry(t, dof):
     assert t_cdf(t, dof) + t_cdf(-t, dof) == pytest.approx(1.0, abs=1e-10)
