@@ -55,20 +55,22 @@ def _parse_orders(text: str) -> tuple:
         raise DataError(f"invalid diversity orders {text!r}, expected a comma list") from None
 
 
-def _coverage_warning(submitted) -> "str | None":
-    """A warning when the counted events start after January of the first year
-    or stop before December of the last; None when they reach both ends."""
+def _warn_coverage(submitted, warn) -> None:
+    """Pass `warn` a warning when the counted events start after January of
+    the first year or stop before December of the last."""
     series = submitted.series()
     used = [i for i, count in enumerate(series) if count]
-    if used[0] == 0 and used[-1] == len(series) - 1:
-        return None
     def month(i):
         return f"{submitted.years[i // MONTHS_PER_YEAR]}-{i % MONTHS_PER_YEAR + 1:02d}"
-    return (f"analyze: warning: events run from {month(used[0])} to {month(used[-1])}, "
-            f"not {month(0)} to {month(len(series) - 1)}; the months outside count as zero")
+    if used[0] > 0 or used[-1] < len(series) - 1:
+        warn(f"analyze: warning: events run from {month(used[0])} to {month(used[-1])}, "
+             f"not {month(0)} to {month(len(series) - 1)}; the months outside count as zero")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The `analyze` parser, built on the first call and shared by every later
+    one; parsing leaves it unchanged."""
     defaults = AnalysisOptions()
     parser = _Parser(prog="analyze",
                      description="Seasonal analysis of monthly submission and acceptance counts.")
@@ -95,14 +97,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The parser `main` uses, built on the first call; parsing leaves it unchanged."""
-    return build_parser()
+def _analyze(text: str, args, warn) -> list:
+    """The `NamedDocument`s that `args` asks for from the input `text`.
+
+    Raises DataError on a bad argument or bad data. The coverage warning of
+    an events selection goes to `warn` as soon as it is found, so it comes
+    before any later error. perfbench/tracing.py times the stages by
+    replacing their names in this module, so they are called by those names.
+    """
+    years = None if args.years is None else _parse_years(args.years)
+    if args.format == "events":
+        events = parse_events(text, args.journal)
+        if not events:
+            raise DataError(f"empty selection: no rows for journal {args.journal!r}")
+        submitted, accepted = aggregate(events, years)
+        _warn_coverage(submitted, warn)
+    else:
+        submitted, accepted = matrices_from_counts(parse_counts(text), args.journal, years)
+    options = AnalysisOptions(q_orders=_parse_orders(args.q), precision=args.precision,
+                              t_null=args.t_null, z_sigma=args.z_sigma, z_null=args.z_null)
+    return render(build_bundle(submitted, accepted, options, journal=args.journal), args.emit)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports often start with
@@ -116,22 +134,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        years = None if args.years is None else _parse_years(args.years)
-        if args.format == "events":
-            events = parse_events(text, args.journal)
-            if not events:
-                raise DataError(f"empty selection: no rows for journal {args.journal!r}")
-            submitted, accepted = aggregate(events, years)
-            warning = _coverage_warning(submitted)
-            if warning:
-                print(warning, file=sys.stderr)
-        else:
-            rows = parse_counts(text)
-            submitted, accepted = matrices_from_counts(rows, args.journal, years)
-        options = AnalysisOptions(q_orders=_parse_orders(args.q), precision=args.precision,
-                                  t_null=args.t_null, z_sigma=args.z_sigma, z_null=args.z_null)
-        bundle = build_bundle(submitted, accepted, options, journal=args.journal)
-        documents = render(bundle, args.emit)
+        documents = _analyze(text, args, functools.partial(print, file=sys.stderr))
     except DataError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1

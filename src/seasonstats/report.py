@@ -26,6 +26,7 @@ import csv
 import io
 import math
 import operator
+import sys
 from functools import partial
 from typing import NamedTuple
 
@@ -90,6 +91,9 @@ def _rounded(values, places: int, rounding: str) -> list:
                 # away from zero for half up, toward it for half down; a midpoint is not 0
                 x = float(x) + (away if x > 0 else -away)
             out.append(text % x)
+        elif isinstance(x, int) and abs(x) > sys.float_info.max:
+            # math.isfinite and float() would raise OverflowError
+            raise DataError("cannot round an integer past the float range")
         elif not math.isfinite(x):
             raise DataError(f"cannot round {x!r}: not a finite number")
         else:

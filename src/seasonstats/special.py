@@ -22,8 +22,14 @@ An argument outside its domain, NaN included, raises ValueError at once.
 Shapes must lie below 2**53 and degrees of freedom below 2**54, the range
 where a + 1 differs from a: past it the gamma fraction's leading
 denominator x + 1 - a can round to 0, and the beta prefactor's log-gamma
-terms overflow. At x = inf the incomplete gamma functions return their
-limits P = 1 and Q = 0, so the chi-square tail there is 0. An expansion
+terms overflow. At x = 0 and x = inf the incomplete gamma functions
+return their limits, P = 0 and Q = 1, and P = 1 and Q = 0, for every
+positive shape, so the chi-square tail at inf is 0. Between them they
+refuse shapes below 1e-10. There lgamma(a), about -ln a, is large, its
+rounding error passes through the prefactor's exp, and P can exceed 1
+with Q = 1 - P below 0: at a = x = 1e-300 they came out as
+1.0000000000000235 and -2.35e-14. From 1e-10 on, P and Q lie in [0, 1],
+and at 1e-10 they match mpmath to 1e-12. An expansion
 that has not converged after `_MAX_ITER` terms raises ValueError instead
 of returning its truncated value. The gamma series does so near x = a
 once a passes about 4000 (chi-square with about 8000 degrees of freedom,
@@ -96,6 +102,8 @@ def _gamma_pq(a: float, x: float) -> tuple:
         return 0.0, 1.0
     if x == math.inf:
         return 1.0, 0.0
+    if a < 1e-10:  # below it P and Q round out of [0, 1]; see the module docstring
+        raise ValueError("shape parameter must be at least 1e-10")
     lower = x < a + 1.0
     if lower:
         s = _gamma_p_series(a, x)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from seasonstats import cli
 from seasonstats.cli import _parse_orders, _parse_years, build_parser, main
 from seasonstats.ingest import DataError, parse_counts, parse_events
 from seasonstats.report import AnalysisOptions
@@ -146,6 +147,45 @@ def test_partial_year_events_warn(tmp_path, capsys):
             "counts": ""}[shape]
     assert len(outputs["events"]) == 6
     assert outputs["events"] == outputs["counts"]
+
+
+def test_coverage_warning_comes_before_a_later_error(tmp_path, capsys):
+    # one accepted and one rejected event in each of January to July 2012:
+    # every defined acceptance ratio is 0.5, so t3's t test has no spread
+    lines = ["journal,submitted_at,decision"]
+    for month in range(1, 8):
+        lines += [f"Demo,2012-{month:02d}-01,accepted", f"Demo,2012-{month:02d}-02,rejected"]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["--input", path, "--format", "events", "--journal", "Demo", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "analyze: warning: events run from 2012-01 to 2012-07, not 2012-01 to 2012-12; "
+        "the months outside count as zero\n"
+        "analyze: t3_conditional, column 2012: degenerate sample: zero standard deviation\n")
+    assert captured.out == "" and not out.exists()
+
+
+# the stages perfbench/tracing.py times by replacing these names in
+# seasonstats.cli, in the order a run on each input shape calls them
+_TRACED_STAGES = {"counts": ["parse_counts", "matrices_from_counts", "build_bundle", "render"],
+                  "events": ["parse_events", "aggregate", "build_bundle", "render"]}
+
+
+@pytest.mark.parametrize("shape", sorted(_TRACED_STAGES))
+def test_each_stage_is_called_once_through_its_cli_name(monkeypatch, tmp_path, counts_csv,
+                                                         events_csv, shape):
+    calls = []
+    for name in {name for names in _TRACED_STAGES.values() for name in names}:
+        def counted(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    source, journal = {"counts": (counts_csv, "JSCS"), "events": (events_csv, "Demo")}[shape]
+    assert _run(["--input", source, "--format", shape, "--journal", journal,
+                 "--out", tmp_path / "out"]) == 0
+    assert calls == _TRACED_STAGES[shape]
 
 
 def test_bad_date_in_other_journal_exits_1(events_csv, tmp_path, capsys):

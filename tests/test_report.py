@@ -564,6 +564,23 @@ def test_render_refuses_a_value_that_is_not_finite(jscs_bundle, bad):
             render(bundle, fmt)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_past_the_float_range_raises_data_error(jscs_bundle, sign):
+    # math.isfinite and float() raise OverflowError on such an int; the CLI
+    # never builds one, but a bundle built by hand can hold it
+    big = sign * 10**400
+    message = "^cannot round an integer past the float range$"
+    for rounding in (ROUND_HALF_UP, ROUND_HALF_DOWN):
+        with pytest.raises(DataError, match=message):
+            report._rounded([None, big], 5, rounding)
+    (label, _), *rest = jscs_bundle.accepted_footers[0]
+    footers = ([(label, big), *rest], *jscs_bundle.accepted_footers[1:])
+    bundle = jscs_bundle._replace(accepted_footers=footers)
+    for fmt in FORMATS:
+        with pytest.raises(DataError, match=message):
+            render(bundle, fmt)
+
+
 def test_default_options_round_trip(jscs_matrices):
     bundle = build_bundle(*jscs_matrices)
     assert bundle.options.precision == 5

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import special as sps
@@ -220,11 +221,33 @@ def test_lentz_guards_carry_a_zero_ratio():
     # lgamma of the shapes overflows in the prefactor (OverflowError before)
     (regularized_beta, (1e308, 1e308, 0.5), "shape parameters must be below 2**53"),
     (regularized_beta, (0.5, 2.0**53, 0.5), "shape parameters must be below 2**53"),
+    # P and Q rounded out of [0, 1] below 1e-10 (Q = -2.35e-14 here before)
+    (regularized_gamma_q, (1e-300, 1e-300), "shape parameter must be at least 1e-10"),
+    (regularized_gamma_p, (math.nextafter(1e-10, 0.0), 1.0), "shape parameter must be at least 1e-10"),
 ])
 def test_shapes_past_the_working_range_refused(function, args, message):
     with pytest.raises(ValueError) as caught:
         function(*args)
     assert str(caught.value) == message
+
+
+@given(st.floats(1e-10, 1e3), st.floats(0.0, math.inf))
+@example(1e-10, 1e-300)
+@example(1e-10, 5e-324)
+def test_gamma_p_q_lie_in_unit_interval_from_the_shape_bound(a, x):
+    p, q = regularized_gamma_p(a, x), regularized_gamma_q(a, x)
+    assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
+
+
+@given(st.floats(0.0, 1e3))
+@example(5e-324)
+@example(1e-300)
+def test_gamma_at_the_shape_bound_matches_mpmath(x):
+    with mpmath.workdps(40):
+        p = float(mpmath.gammainc(1e-10, 0, x, regularized=True))
+        q = float(mpmath.gammainc(1e-10, x, mpmath.inf, regularized=True))
+    assert abs(regularized_gamma_p(1e-10, x) - p) <= 1e-12
+    assert abs(regularized_gamma_q(1e-10, x) - q) <= 1e-12
 
 
 def test_shapes_just_inside_the_working_range():
