@@ -34,6 +34,12 @@ class DataError(ValueError):
     """Invalid input data (malformed rows, broken invariants, empty selections)."""
 
 
+def _check_type(value, cls) -> None:
+    """TypeError unless `value` is a `cls`, before any of its fields is read."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected {cls.__name__}, not {type(value).__name__}")
+
+
 class _CountFields(NamedTuple):
     years: tuple
     counts: tuple  # 12 rows, each a tuple with one entry per year
@@ -194,11 +200,12 @@ def _split_events(text: str, journal: str) -> "Counter | None":
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    header_line = text.partition("\n")[0]
-    header = header_line.split(",")
+    start = text.find("\n")  # the header's LF, which every row follows
+    if start < 0:  # the header alone, with no line end
+        start = len(text)
+    header = text[:start].split(",")
     if not _is_header(header, EVENT_HEADER):
         return None
-    start = len(header_line)  # the header's LF, which every row follows
     end = len(text) - text.endswith("\n")
     dates = set()
     joined = set()  # a decision, an LF and the next row's journal
@@ -307,7 +314,8 @@ def _matrices(rows: Sequence[tuple], years: "Sequence[int] | None", complete: bo
     first row's to the last's; given years must be contiguous) from one
     journal's counts rows. A repeated month is refused; a month without a row
     is refused when `complete` and counts as zero otherwise."""
-    years = _year_span((r[1] for r in rows), years)
+    # unpacked, as below: a row that is not five fields raises ValueError
+    years = _year_span((year for _, year, _, _, _ in rows), years)
     cells = {}
     for journal, year, month, submitted, accepted in rows:
         if year not in years:

@@ -7,10 +7,11 @@ and marks a month with no submissions as undefined (None).
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .indices import _left_sum
-from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
+from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_type
 
 
 class MonthTable(NamedTuple):
@@ -26,6 +27,7 @@ class MonthTable(NamedTuple):
 
 def shares(matrix: CountMatrix) -> MonthTable:
     """Per-year and cumulated monthly shares of a count matrix."""
+    _check_type(matrix, CountMatrix)
     totals = matrix.totals
     for y, total in zip(matrix.years, totals):
         if total == 0:
@@ -47,6 +49,8 @@ def conditional(submitted: CountMatrix, accepted: CountMatrix) -> MonthTable:
     is None and is excluded from column sums and downstream entropies. The pair
     must cover the same years, with no cell accepting more than was submitted.
     """
+    _check_type(submitted, CountMatrix)
+    _check_type(accepted, CountMatrix)
     years = submitted.years
     if accepted.years != years:
         raise DataError("submitted and accepted matrices cover different years")
@@ -68,7 +72,11 @@ def normalize(vector: Sequence["float | None"]) -> tuple:
     defined = [v for v in vector if v is not None]
     if any(v < 0 for v in defined):
         raise DataError("negative entry")
+    if not all(v < math.inf for v in defined):  # NaN is not below inf
+        raise DataError("entries must be finite")
     total = _left_sum(defined)
     if total <= 0:
         raise DataError("cannot normalize: no positive entries")
+    if total == math.inf:
+        raise DataError("sum of entries overflows the float range")
     return tuple(None if v is None else v / total for v in vector)

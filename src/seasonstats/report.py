@@ -28,10 +28,11 @@ import math
 import operator
 import sys
 from functools import partial
+from itertools import groupby
 from typing import NamedTuple
 
 from .indices import _left_sum, entropy, index_summary, monthly_entropy_terms
-from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError
+from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_type
 from .probability import MonthTable, conditional, normalize, shares
 from .spectral import top_peaks
 from .stats import chi_square_uniform, describe, footer_statistics
@@ -239,12 +240,13 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
     """Assemble every table for one journal's (submitted, accepted) pair."""
     if options is None:
         options = AnalysisOptions()
-    years = submitted.years
-    labels = tuple(str(y) for y in years) + (f"[{years[0]}-{years[-1]}]",)
-
+    _check_type(options, AnalysisOptions)
+    # shares checks each matrix's type before its years are read
     sub_shares = shares(submitted)
     acc_shares = shares(accepted)
     cond = conditional(submitted, accepted)
+    years = submitted.years
+    labels = tuple(str(y) for y in years) + (f"[{years[0]}-{years[-1]}]",)
     sub_cols, acc_cols, cond_cols = _columns(sub_shares), _columns(acc_shares), _columns(cond)
 
     def per_column(table_name, fn, *column_lists):
@@ -376,94 +378,83 @@ def _grid(layout: _Layout, places):
     return header, rows
 
 
-def _nest_columns(layout: _Layout, places):
-    months, footers = layout.rows[:MONTHS_PER_YEAR], layout.rows[MONTHS_PER_YEAR:]
-    # JSON footers list z and z_p last, after the band rows, where the grids
-    # put them after t_p; the JSON bytes are part of the contract
-    footers.sort(key=lambda row: row[0][0] in ("z", "z_p"))
-    columns = {label: {"months": {}, "footer": {}} for label in layout.value_names}
-    for part, rows in (("months", months), ("footer", footers)):
-        for (row,), values in rows:
-            for label, text in zip(layout.value_names, _json_numbers(values, places)):
-                columns[label][part][row] = text
-    return {"columns": columns}
+def _json_array(items, depth: int, brackets: str = "[]") -> str:
+    """json.dumps(indent=2)'s text, at nesting `depth`, of a non-empty array
+    of the items' JSON text (of an object for brackets "{}")."""
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
-def _nest_blocks(layout: _Layout, places):
-    blocks = {}
-    for (block, index), values in layout.rows:
-        columns = blocks.setdefault(
-            block, {"columns": {label: {} for label in layout.value_names}})["columns"]
-        for label, text in zip(layout.value_names, _json_numbers(values, places)):
-            columns[label][index] = text
-    return {"blocks": blocks}
-
-def _nest_series(layout: _Layout, places):
-    series = {}
-    for (name, rank), values in layout.rows:
-        entry = {"rank": rank}
-        entry.update(zip(layout.value_names, _json_numbers(values, places)))
-        series.setdefault(name, []).append(entry)
-    return {"series": series}
-
-_NESTERS = {("row",): _nest_columns, ("block", "index"): _nest_blocks,
-            ("series", "rank"): _nest_series}
-
-# render's documents hold every string, number and null leaf as its JSON
-# text already (numbers and nulls from _json_numbers), and the years and the
-# precision as int
-_LEAVES = {str: str, int: int.__repr__}
-
-def _json_text(value, quote, indent="") -> str:
-    """json.dumps(value, indent=2) for str leaves that are JSON text already
-    and int leaves, nested in lists and str-keyed dicts, with each key written
-    by `quote` (json's encode_basestring_ascii); TypeError for any other type,
-    bool, float, None and tuple included.
+def _json_object(pairs, quote, depth: int) -> str:
+    """The same of a non-empty object of (key, JSON text) pairs, each key
+    written by `quote` (json's encode_basestring_ascii).
 
     json writes indented text with its pure-Python encoder, as its C encoder
-    writes compact text only; this does the same work in fewer calls.
+    writes compact text only; the writers below hand this the text directly.
     """
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = indent + "  "
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        items = []
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"JSON object key {key!r} is not a str")
-            items.append(quote(key) + ": " + (
-                item if type(item) is str else _json_text(item, quote, inner)))
-        opening, closing = "{", "}"
-    elif type(value) is list:
-        if not value:
-            return "[]"
-        items = [item if type(item) is str else _json_text(item, quote, inner)
-                 for item in value]
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
-    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+    return _json_array([quote(key) + ": " + text for key, text in pairs], depth, "{}")
+
+
+def _column_objects(rows, places, quote, depth: int) -> list:
+    """Per value column of the layout rows, the JSON object at `depth` of
+    each row's last key and its number in that column."""
+    names = [keys[-1] for keys, _ in rows]
+    columns = zip(*[_json_numbers(values, places) for _, values in rows])
+    return [_json_object(zip(names, texts), quote, depth) for texts in columns]
+
+def _json_columns(layout: _Layout, places, quote) -> str:
+    """t1-t4: per column, its "months" rows and its "footer" rows."""
+    months = _column_objects(layout.rows[:MONTHS_PER_YEAR], places, quote, 3)
+    # JSON footers list z and z_p last, after the band rows, where the grids
+    # put them after t_p; the JSON bytes are part of the contract
+    footers = _column_objects(sorted(layout.rows[MONTHS_PER_YEAR:],
+                                     key=lambda row: row[0][0] in ("z", "z_p")),
+                              places, quote, 3)
+    return _json_object([(label, _json_object([("months", m), ("footer", f)], quote, 2))
+                         for label, m, f in zip(layout.value_names, months, footers)], quote, 1)
+
+def _json_blocks(layout: _Layout, places, quote) -> str:
+    """t5: per block, its "columns" of the block's index rows."""
+    blocks = []
+    for block, rows in groupby(layout.rows, key=lambda row: row[0][0]):
+        columns = zip(layout.value_names, _column_objects(list(rows), places, quote, 4))
+        blocks.append((block, _json_object([("columns", _json_object(columns, quote, 3))],
+                                           quote, 2)))
+    return _json_object(blocks, quote, 1)
+
+def _json_series(layout: _Layout, places, quote) -> str:
+    """t6: per series, its peaks in rank order."""
+    series = []
+    for name, rows in groupby(layout.rows, key=lambda row: row[0][0]):
+        peaks = [_json_object([("rank", repr(rank)),
+                               *zip(layout.value_names, _json_numbers(values, places))], quote, 3)
+                 for (_, rank), values in rows]
+        series.append((name, _json_array(peaks, 2)))
+    return _json_object(series, quote, 1)
+
+# each layout's JSON body: its key in the document and its writer
+_JSON_BODIES = {("row",): ("columns", _json_columns), ("block", "index"): ("blocks", _json_blocks),
+                ("series", "rank"): ("series", _json_series)}
 
 
 def render(bundle: AnalysisBundle, format: str) -> list:
     """Render the six documents in the requested format at the bundle's precision."""
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}, expected one of {', '.join(FORMATS)}")
+    _check_type(bundle, AnalysisBundle)
     if not bundle.years or not bundle.column_labels:
         raise DataError("empty bundle")
     places = bundle.options.precision
 
     if format == "json":
         from json.encoder import encode_basestring_ascii as quote
+        head = [("journal", quote(bundle.journal)),
+                ("years", _json_array(map(repr, bundle.years), 1)), ("precision", repr(places))]
     documents = []
     for name, layout in _layouts(bundle).items():
         if format == "json":
-            body = {"name": quote(name), "journal": quote(bundle.journal),
-                    "years": list(bundle.years), "precision": places}
-            body.update(_NESTERS[layout.keys](layout, places))
-            text = _json_text(body, quote) + "\n"
+            key, write = _JSON_BODIES[layout.keys]
+            text = _json_object([("name", quote(name)), *head,
+                                 (key, write(layout, places, quote))], quote, 0) + "\n"
         else:
             text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
         documents.append(NamedDocument(name, text))

@@ -160,7 +160,8 @@ def _t_tail(t2: float, dof: int) -> float:
 
 def t_cdf(t: float, dof: int) -> float:
     """Cumulative distribution function of Student's t, from the two-sided
-    tail, so neither side loses precision far out."""
+    tail, so neither side loses precision far out. Degrees of freedom past
+    1e8 raise ValueError, as the incomplete beta's shapes pass 5e7."""
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
     tail = _t_tail(t * t, dof)

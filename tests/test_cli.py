@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from seasonstats import cli
+from seasonstats import cli, ingest
 from seasonstats.cli import _parse_orders, _parse_years, build_parser, main
 from seasonstats.ingest import DataError, parse_counts, parse_events
 from seasonstats.report import AnalysisOptions
@@ -214,6 +214,20 @@ def test_events_unknown_journal_exits_1(events_csv, tmp_path, capsys, years):
     assert code == 1
     err = capsys.readouterr().err
     assert "empty selection" in err and "'Nature'" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("header", ["journal,submitted_at,decision",
+                                    '"journal",submitted_at,decision'])
+def test_events_header_alone_without_line_end_exits_1(tmp_path, capsys, header):
+    # the plain header is read by the split fast path, the quoted one by csv.reader
+    path = tmp_path / "events.csv"
+    path.write_text(header, encoding="utf-8")
+    assert (ingest._split_events(header, "Demo") is None) == header.startswith('"')
+    code = _run(["--input", path, "--format", "events", "--journal", "Demo",
+                 "--out", tmp_path / "x"])
+    assert code == 1
+    assert capsys.readouterr().err == "analyze: empty selection: no rows for journal 'Demo'\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -534,7 +548,7 @@ _PAST_28_DIGITS = {"--t-null": ("t", "-1468716911839349700000000000.00000"),
 @pytest.mark.parametrize("emit", ["csv", "json", "md"])
 @pytest.mark.parametrize("flags", [["--t-null", "1e25"],
                                    ["--z-sigma", "1e-30", "--z-null", "0.08"]])
-def test_footer_value_past_28_digits_exits_1(tmp_path, capsys, emit, flags):
+def test_footer_value_past_28_digits_prints_in_full(tmp_path, capsys, emit, flags):
     # the t (or z) statistic is about -1e27 (1e28): more significant digits at
     # precision 5 than decimal's default context holds, where the run once
     # exited 1. Every finite value prints in full, and the run exits 0.

@@ -1,19 +1,19 @@
 """Bundle assembly and document rendering."""
 
 import csv
+import functools
 import io
 import json
 import math
 import re
 import struct
 from decimal import ROUND_HALF_DOWN, ROUND_HALF_UP, Context, Decimal
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seasonstats import report
+from seasonstats import cli, report
 from seasonstats.indices import _left_sum, diversity, entropy, gini, hhi, lorenz
 from seasonstats.ingest import (
     MONTHS_PER_YEAR,
@@ -588,30 +588,6 @@ def test_default_options_round_trip(jscs_matrices):
     assert bundle.options.t_null == pytest.approx(0.0833333)
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=20)
-
-
-@given(_JSON_VALUES)
-@example([[], {}, {"a": [{}, [[]]]}, [{"b": {}}]])
-@example([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, 1.7976931348623157e308])
-@example([2**64, -(2**64) - 1, 10**40, 0])
-@example({"\u2028": "\u2029", "\"q\"": "back\\slash", "\x00\x1f\x7f": "\t\n\r\b\f"})
-@example({"\U0001f600": ["\U0001f600", "\udfff", "\xe9"]})
-def test_json_text_is_json_dumps(value):
-    # render's documents hold each leaf but an int as its JSON text already
-    def leaves_as_text(item):
-        if type(item) is dict:
-            return {key: leaves_as_text(v) for key, v in item.items()}
-        if type(item) is list:
-            return [leaves_as_text(v) for v in item]
-        return item if type(item) is int else json.dumps(item)
-    assert (report._json_text(leaves_as_text(value), encode_basestring_ascii) + "\n"
-            == json.dumps(value, indent=2) + "\n")
-
-
 _JSON_NUMBER_INPUTS = st.one_of(
     st.floats(-1e22, 1e22),
     st.floats(-1e-3, 1e-3),
@@ -640,24 +616,47 @@ def test_json_number_is_repr_of_rounded_text(x, places):
     assert report._json_numbers([x, None], places) == [repr(float(text)), "null"]
 
 
-def test_json_documents_are_json_dumps_of_their_numbers(jscs_matrices):
-    # numbers written from their text and pre-quoted strings give the bytes
-    # json.dumps gives for the parsed document
-    journal = 'J\u00e9 "q" \u2028'
-    bundle = build_bundle(*jscs_matrices, AnalysisOptions(precision=12), journal=journal)
+@functools.lru_cache(maxsize=None)
+def _golden_bundle(run):
+    """The bundle of a golden run, with the options its CLI arguments give."""
+    input_name, journal, extra = rv.GOLDEN_RUNS[run]
+    args = cli.build_parser().parse_args(["--input", input_name, "--format", "counts",
+                                          "--journal", journal, *extra])
+    options = AnalysisOptions(q_orders=cli._parse_orders(args.q), precision=args.precision,
+                              t_null=args.t_null, z_sigma=args.z_sigma, z_null=args.z_null)
+    rows = parse_counts((DATA_DIR / input_name).read_text(encoding="utf-8-sig"))
+    return build_bundle(*matrices_from_counts(rows, journal), options, journal=journal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(rv.GOLDEN_RUNS)), st.sampled_from((None, 12)), st.text())
+@example("edge", None, "\udfff")
+@example("long", 12, "\U0001f600")
+@example("jscs", None, "\u2028")
+@example("entropy", 12, '"')
+@example("edge", 12, "\\")
+@example("jscs", 12, "\x00\x1f\x7f")
+@example("jscs", 12, 'J\u00e9 "q" \u2028')
+def test_json_documents_are_json_dumps_of_their_numbers(run, precision, journal):
+    # numbers written from their text and quoted strings give the bytes
+    # json.dumps gives for the parsed document: at each golden run's options
+    # (edge's NA cells as null, z rows last, precision 7) and at precision 12
+    bundle = _golden_bundle(run)._replace(journal=journal)
+    if precision is not None:
+        bundle = bundle._replace(options=bundle.options._replace(precision=precision))
     for doc in render(bundle, "json"):
         body = json.loads(doc.text)
         assert body["journal"] == journal
         assert doc.text == json.dumps(body, indent=2) + "\n"
 
 
-def test_json_text_refuses_other_types():
-    # json would write these as true, a list, a key converted to "1", a
-    # number or null; render's documents hold them as text
-    for value in (True, (1, 2), {1: "0.5"}, ["null", False], {"a": {None: 1}},
-                  0.5, None, [0.5], {"a": None}):
-        with pytest.raises(TypeError):
-            report._json_text(value, encode_basestring_ascii)
+@pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
+def test_golden_json_is_json_dumps_of_itself(run):
+    golden = DATA_DIR / "golden" / run
+    for doc in render(_golden_bundle(run), "json"):
+        text = (golden / f"{doc.name}.json").read_text(encoding="utf-8")
+        assert doc.text == text
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def _csv_cells(text):
