@@ -29,7 +29,10 @@ def _defined(p: Vector) -> list[float]:
             continue
         if v < 0:
             raise ValueError("negative entry in distribution")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:  # an int past the float range
+            raise ValueError("entries must lie within the float range") from None
     if not out:
         raise ValueError("no defined entries")
     return out
@@ -63,7 +66,10 @@ def monthly_entropy_terms(p: Vector) -> tuple:
             continue
         if v < 0:
             raise ValueError("negative entry in distribution")
-        terms.append(-v * math.log(v) if v > 0.0 else 0.0)
+        try:
+            terms.append(-v * math.log(v) if v > 0.0 else 0.0)
+        except OverflowError:  # an int past the float range
+            raise ValueError("entries must lie within the float range") from None
     return tuple(terms)
 
 def diversity(p: Vector, q: float) -> float:
@@ -90,7 +96,10 @@ def _diversity(values: list, q: float, h: "float | None" = None) -> float:
         return math.exp(_entropy(values) if h is None else h)
     if q == math.inf:
         return 1.0 / p_max
-    total = _left_sum([(v / p_max) ** q for v in values if v > 0.0])
+    try:
+        total = _left_sum([(v / p_max) ** q for v in values if v > 0.0])
+    except OverflowError:  # an int q past the float range; each v / p_max is at most 1
+        raise ValueError("diversity order must lie within the float range") from None
     try:
         # the two factors are taken as one exponential: near q = 1 one of
         # them underflows while the other overflows

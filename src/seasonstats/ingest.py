@@ -3,7 +3,9 @@
 Two input shapes are supported: event-level CSV (one row per submission
 with its final decision) and pre-aggregated counts CSV (one row per
 journal, year, month). Both parse to counts rows, and `_matrices` lays out
-every (submitted, accepted) matrix pair.
+every (submitted, accepted) matrix pair. One record reader, `_records`,
+holds both shapes to the same CSV rules (header, blank rows, column count,
+line-numbered errors), and one date rule, `_days`, reads every events date.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import io
 import operator
 import re
 from collections import Counter
-from contextlib import contextmanager
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -128,15 +129,16 @@ def _plain_numbers(text: str) -> bool:
     return "_" not in text and text.isascii()
 
 
-def _iso_month(field: str) -> tuple:
-    """The (year, month) of the date a `YYYY-MM-DD` field names; ValueError
-    for any other text."""
+def _days(fields: set) -> dict:
+    """The date each field names, for a set of `YYYY-MM-DD` fields; ValueError
+    if any field is not one. The lengths are checked as one set and the "-" at
+    offsets 4 and 7 as two strides of the fields' concatenation."""
     # fromisoformat takes 20120117 and 2012-W03-2 from Python 3.11 on
-    if len(field) != 10 or field[4] != "-" or field[7] != "-":
+    chars = "".join(fields)
+    if set(map(len, fields)) - {10} or chars[4::10].strip("-") or chars[7::10].strip("-"):
         raise ValueError("expected YYYY-MM-DD")
     from datetime import date
-    day = date.fromisoformat(field)
-    return day.year, day.month
+    return dict(zip(fields, map(date.fromisoformat, fields)))
 
 
 def _tally(journal: str, tally: Counter) -> list:
@@ -151,10 +153,12 @@ def _is_header(fields: Sequence[str], header: tuple) -> bool:
     return tuple(f.strip().lower() for f in fields) == header
 
 
-@contextmanager
-def _csv_records(text: str, header: tuple):
-    """A csv reader over `text`, read as a `newline=""` handle reads it, past a header row
-    naming `header`; a csv.Error in the block (field limit, NUL before 3.11) is a DataError."""
+def _records(text: str, header: tuple):
+    """The (line, fields) of each record of `text` past a header row naming
+    `header`, read by `csv.reader` as a `newline=""` handle reads it: blank
+    records are skipped, a record of any other width than the header's is
+    refused, and a csv.Error (field limit, NUL before 3.11) is a DataError.
+    `line` is the line the record ends on."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         first = next(reader, None)
@@ -162,7 +166,12 @@ def _csv_records(text: str, header: tuple):
             raise DataError("empty input, expected a header row")
         if not _is_header(first, header):
             raise DataError(f"expected header {','.join(header)} at line 1")
-        yield reader
+        for fields in reader:
+            if fields:
+                if len(fields) != len(header):
+                    raise DataError(f"expected {len(header)} columns at line "
+                                    f"{reader.line_num}, got {len(fields)}")
+                yield reader.line_num, fields
     except csv.Error as exc:
         raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
@@ -186,13 +195,12 @@ def _split_events(text: str, journal: str) -> "Counter | None":
     fields and every date hold no LF and every field between them at an even
     position holds exactly one, each of the chunk's lines has exactly two
     commas. Each distinct decision and journal field is then checked once,
-    and the distinct date fields in one batch: their lengths as one set, the
-    "-" at offsets 4 and 7 as two strides of their concatenation, and
-    `date.fromisoformat` mapped over them. So a date with spaces around it
-    (" 2012-01-15 ") goes to `csv.reader`, which strips it and gives the same
-    tally, only more slowly. For each raw journal field that strips to
-    `journal`, one regular expression, an LF, the escaped field and a comma,
-    finds its rows and captures their date and decision fields.
+    and the set of distinct date fields in one `_days` call. So a date with
+    spaces around it (" 2012-01-15 ") goes to `csv.reader`, which strips it
+    and gives the same tally, only more slowly. For each raw journal field
+    that strips to `journal`, one regular expression, an LF, the escaped
+    field and a comma, finds its rows and captures their date and decision
+    fields.
     """
     if '"' in text or "\0" in text:
         return None
@@ -236,14 +244,8 @@ def _split_events(text: str, journal: str) -> "Counter | None":
             return None
     # the header's submitted_at field is 12 characters within the limit, so a
     # 10-character date is too; one that fromisoformat reads holds no LF
-    if set(map(len, dates)) - {10}:
-        return None
-    chars = "".join(dates)
-    if chars[4::10].strip("-") or chars[7::10].strip("-"):
-        return None
-    from datetime import date
     try:
-        days = dict(zip(dates, map(date.fromisoformat, dates)))
+        days = _days(dates)
     except ValueError:
         return None
     decision_of = {raw: raw.strip().lower() for raw in decisions}
@@ -270,42 +272,37 @@ def parse_events(text: str, journal: str) -> list:
 
     Every row is validated (column count, YYYY-MM-DD date, decision, in that
     order), but only rows of `journal` are counted, and each distinct raw
-    date and decision is checked once. `_split_events` reads clean text;
-    quoted text and text with a bad row go through `csv.reader`, which alone
-    reports errors, naming the line a row ends on.
+    date and decision is checked once. Both paths hold dates to one rule,
+    `_days`. `_split_events` reads clean text; quoted text and text with a
+    bad row go through `_records`, the one `csv.reader` loop `parse_counts`
+    shares, which alone reports errors, naming the line a row ends on.
     """
     if not isinstance(text, str):
         raise TypeError(f"parse_events takes decoded text (str), not {type(text).__name__}")
     tally = _split_events(text, journal)
     if tally is not None:
         return _tally(journal, tally)
-    with _csv_records(text, EVENT_HEADER) as reader:
-        months = {}
-        decisions = {}
-        events = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"expected 3 columns at line {reader.line_num}, got {len(row)}")
-            raw_journal, raw_date, raw_decision = row
-            month = months.get(raw_date)
-            if month is None:
-                field = raw_date.strip()
-                try:
-                    month = months[raw_date] = _iso_month(field)
-                except ValueError as exc:
-                    raise DataError(f"invalid date {field!r} at line {reader.line_num}: "
-                                    f"{exc}") from None
-            decision = decisions.get(raw_decision)
-            if decision is None:
-                field = raw_decision.strip()
-                decision = field.lower()
-                if decision not in DECISIONS:
-                    raise DataError(f"unknown decision {field!r} at line {reader.line_num}")
-                decisions[raw_decision] = decision
-            if raw_journal.strip() == journal:
-                events.append((month, decision))
+    months = {}
+    decisions = {}
+    events = []
+    for line, (raw_journal, raw_date, raw_decision) in _records(text, EVENT_HEADER):
+        month = months.get(raw_date)
+        if month is None:
+            field = raw_date.strip()
+            try:
+                day = _days({field})[field]
+            except ValueError as exc:
+                raise DataError(f"invalid date {field!r} at line {line}: {exc}") from None
+            month = months[raw_date] = day.year, day.month
+        decision = decisions.get(raw_decision)
+        if decision is None:
+            field = raw_decision.strip()
+            decision = field.lower()
+            if decision not in DECISIONS:
+                raise DataError(f"unknown decision {field!r} at line {line}")
+            decisions[raw_decision] = decision
+        if raw_journal.strip() == journal:
+            events.append((month, decision))
     return _tally(journal, Counter(events))
 
 
@@ -354,29 +351,23 @@ def parse_counts(text: str) -> list:
     """
     if not isinstance(text, str):
         raise TypeError(f"parse_counts takes decoded text (str), not {type(text).__name__}")
-    with _csv_records(text, COUNTS_HEADER) as reader:
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"expected 5 columns at line {reader.line_num}, got {len(row)}")
-            journal, *numbers = row
-            try:
-                if not _plain_numbers("".join(numbers)):
-                    raise ValueError
-                year, month, submitted, accepted = map(int, numbers)
-            except ValueError:
-                raise DataError(f"non-integer count field at line {reader.line_num}") from None
-            if not MINYEAR <= year <= MAXYEAR:
-                raise DataError(f"year out of range at line {reader.line_num}")
-            if not 1 <= month <= 12:
-                raise DataError(f"month out of range at line {reader.line_num}")
-            if submitted < 0 or accepted < 0:
-                raise DataError(f"negative count at line {reader.line_num}")
-            if accepted > submitted:
-                raise DataError(f"accepted exceeds submitted at line {reader.line_num}")
-            rows.append((journal.strip(), year, month, submitted, accepted))
+    rows = []
+    for line, (journal, *numbers) in _records(text, COUNTS_HEADER):
+        try:
+            if not _plain_numbers("".join(numbers)):
+                raise ValueError
+            year, month, submitted, accepted = map(int, numbers)
+        except ValueError:
+            raise DataError(f"non-integer count field at line {line}") from None
+        if not MINYEAR <= year <= MAXYEAR:
+            raise DataError(f"year out of range at line {line}")
+        if not 1 <= month <= 12:
+            raise DataError(f"month out of range at line {line}")
+        if submitted < 0 or accepted < 0:
+            raise DataError(f"negative count at line {line}")
+        if accepted > submitted:
+            raise DataError(f"accepted exceeds submitted at line {line}")
+        rows.append((journal.strip(), year, month, submitted, accepted))
     return rows
 
 
@@ -388,7 +379,10 @@ def matrices_from_counts(rows: Sequence[tuple], journal: str,
     given years must be contiguous. Each must be present as a complete
     12-month block; a month with no events must be an explicit zero row.
     """
-    mine = [r for r in rows if r[0] == journal]
+    try:
+        mine = [r for r in rows if r[0] == journal]
+    except (IndexError, KeyError):  # a row with no first field, such as "" or {}
+        raise DataError("counts rows must have five fields") from None
     if not mine:
         raise DataError(f"empty selection: no rows for journal {journal!r}")
     return _matrices(mine, years, complete=True)

@@ -8,10 +8,13 @@ and marks a month with no submissions as undefined (None).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from .indices import _left_sum
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_type
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class MonthTable(NamedTuple):
@@ -72,8 +75,8 @@ def normalize(vector: Sequence["float | None"]) -> tuple:
     defined = [v for v in vector if v is not None]
     if any(v < 0 for v in defined):
         raise DataError("negative entry")
-    if not all(v < math.inf for v in defined):  # NaN is not below inf
-        raise DataError("entries must be finite")
+    if not all(v <= _FLOAT_MAX for v in defined):  # false for NaN, inf and ints past it
+        raise DataError("entries must be finite and within the float range")
     total = _left_sum(defined)
     if total <= 0:
         raise DataError("cannot normalize: no positive entries")

@@ -22,8 +22,6 @@ with the share and conditional tables as quoted.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 import sys
@@ -132,10 +130,13 @@ class AnalysisOptions(_OptionFields):
             raise DataError("precision must be an integer") from None
         if places not in _FAST_ROUNDING:
             raise DataError("precision must lie in 1..12")
-        if any(math.isnan(q) for q in q_orders):
-            # q < 0 is false for NaN
-            raise DataError("diversity orders must not be NaN: an order that is not finite "
-                            "must be inf")
+        try:
+            if any(math.isnan(q) for q in q_orders):
+                # q < 0 is false for NaN
+                raise DataError("diversity orders must not be NaN: an order that is not "
+                                "finite must be inf")
+        except OverflowError:  # isnan of an int past the float range
+            raise DataError("diversity orders must lie within the float range") from None
         if any(q < 0 for q in q_orders):
             raise DataError("diversity orders must be non-negative")
         q_orders = tuple(abs(q) if q == 0 else q for q in q_orders)  # -0.0 labels D-0
@@ -150,8 +151,11 @@ class AnalysisOptions(_OptionFields):
         if (z_sigma is None) != (z_null is None):
             raise DataError("z test needs both a sigma and a null value")
         for name, value in (("t null", t_null), ("z null", z_null), ("z sigma", z_sigma)):
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"{name} value must be finite")
+            try:
+                if value is not None and not math.isfinite(value):
+                    raise DataError(f"{name} value must be finite")
+            except OverflowError:  # isfinite of an int past the float range
+                raise DataError(f"{name} value must lie within the float range") from None
         if z_sigma is not None and z_sigma <= 0:
             raise DataError("z sigma must be positive")
         return super().__new__(cls, q_orders, places, t_null, z_sigma, z_null)
@@ -355,11 +359,9 @@ def _layouts(bundle) -> dict:
 
 
 def _csv_text(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    # no cell needs quoting: labels, years, `_rounded` text and NA hold no
+    # comma, quote or line end, and the journal label is not in a CSV document
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 def _md_text(header, rows) -> str:
     widths = [max(map(len, column)) for column in zip(header, *rows)]

@@ -113,7 +113,10 @@ def _gamma_pq(a: float, x: float) -> tuple:
     if lower:
         s = _gamma_p_series(a, x)
     else:
-        b = x + 1.0 - a
+        try:
+            b = x + 1.0 - a
+        except OverflowError:  # an int x past the float range; a is below 2**53
+            raise ValueError("argument must lie within the float range") from None
         s = _lentz(b, _gamma_q_terms(a, b), "gamma")
     # the prefactor x^a e^-x / gamma(a) that both expansions share
     s *= math.exp(-x + a * math.log(x) - math.lgamma(a))
@@ -135,7 +138,11 @@ def chi_square_sf(x: float, dof: int) -> float:
         raise ValueError("degrees of freedom must be below 2**54")
     if not x >= 0:
         raise ValueError("chi-square statistic must be non-negative")
-    return regularized_gamma_q(dof / 2.0, x / 2.0)
+    try:
+        half = x / 2.0
+    except OverflowError:  # an int past the float range
+        raise ValueError("chi-square statistic must lie within the float range") from None
+    return regularized_gamma_q(dof / 2.0, half)
 
 def _beta_terms(a: float, b: float, x: float):
     # I_x(a, b)'s fraction after its leading 1/(1; two terms a step, and the
@@ -172,6 +179,9 @@ def normal_cdf(z: float) -> float:
     Taken from erfc, which keeps its relative accuracy far into the lower
     tail, where 1 + erf(z / sqrt 2) cancels.
     """
-    if math.isnan(z):
-        raise ValueError("argument must not be NaN")
+    try:
+        if math.isnan(z):
+            raise ValueError("argument must not be NaN")
+    except OverflowError:  # an int past the float range
+        raise ValueError("argument must lie within the float range") from None
     return 0.5 * math.erfc(-z / math.sqrt(2.0))

@@ -112,7 +112,10 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
     past the float range (such as that of [1e308, -1e308]), raises
     ValueError.
     """
-    series = [float(v) for v in x]
+    try:
+        series = [float(v) for v in x]
+    except OverflowError:  # an int past the float range
+        raise ValueError("samples must lie within the float range") from None
     T = len(series)
     if T < 2:
         raise ValueError("need at least 2 samples")

@@ -35,7 +35,10 @@ _SQRT_BITS = 2 * sys.float_info.mant_dig + 3
 
 
 def _values(x: Sequence["float | None"]) -> list:
-    values = [float(v) for v in x if v is not None]
+    try:
+        values = [float(v) for v in x if v is not None]
+    except OverflowError:  # an int past the float range
+        raise ValueError("values must lie within the float range") from None
     if not all(map(math.isfinite, values)):
         raise ValueError("values must be finite")
     return values
@@ -87,9 +90,13 @@ def _stdev(values: list) -> float:
         raise ValueError("standard deviation overflows the float range") from None
 
 
-def _standard_score(name: str, diff: float, spread: float, n: int) -> float:
-    """diff / (spread / sqrt(n)), refused when it passes the float range."""
-    scale = spread / math.sqrt(n)
+def _standard_score(name: str, mean: float, k: float, spread: float, n: int) -> float:
+    """(mean - k) / (spread / sqrt(n)), refused when it passes the float range."""
+    try:
+        diff = mean - k
+        scale = spread / math.sqrt(n)
+    except OverflowError:  # an int k or spread past the float range
+        raise ValueError(f"{name} test arguments must lie within the float range") from None
     # a subnormal spread can underflow to zero once divided by sqrt(n)
     stat = diff / scale if scale else diff / spread * math.sqrt(n)
     if math.isinf(stat):
@@ -164,14 +171,17 @@ def t_cdf(t: float, dof: int) -> float:
     1e8 raise ValueError, as the incomplete beta's shapes pass 5e7."""
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    tail = _t_tail(t * t, dof)
+    try:
+        tail = _t_tail(t * t, dof)
+    except OverflowError:  # an int past the float range
+        raise ValueError("arguments must lie within the float range") from None
     return 1.0 - 0.5 * tail if t > 0 else 0.5 * tail
 
 
 def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
     if std == 0.0:
         raise ValueError("degenerate sample: zero standard deviation")
-    stat = _standard_score("t", mean - k, std, n)
+    stat = _standard_score("t", mean, k, std, n)
     dof = n - 1
     return TestResult(stat, min(_t_tail(stat * stat, dof), 1.0), dof, k, "t_one_sample")
 
@@ -179,7 +189,7 @@ def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
 def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    stat = _standard_score("z", mean - k, sigma, n)
+    stat = _standard_score("z", mean, k, sigma, n)
     # the lower tail at -|z|: 1 - normal_cdf(|z|) cancels to 0 from z ~ 8.3
     p = 2.0 * normal_cdf(-abs(stat))
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")

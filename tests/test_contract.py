@@ -11,6 +11,7 @@ so is a probability or p-value outside [0, 1].
 
 import inspect
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ import seasonstats
 from seasonstats import AnalysisOptions, CountMatrix, build_bundle, special, stats
 
 _SCALARS = st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
-                            1e-310, 2**64, None))
+                            1e-310, 2**64, 10**400, None))
 _MATRIX = CountMatrix((2012,), tuple((m + 1,) for m in range(12)), "submitted")
 _ACCEPTED = CountMatrix((2012,), tuple((m // 2,) for m in range(12)), "accepted")
 _WELL_TYPED = st.sampled_from(("csv", "JSCS", _MATRIX, AnalysisOptions(),
@@ -69,3 +70,37 @@ def test_hostile_arguments_raise_only_value_or_type_error(name):
         _assert_probabilities(fn, result)
 
     check()
+
+
+_PAST_FLOAT = 10**400
+# each call passes an int past the float range where the function first
+# converts or compares that argument
+_PAST_FLOAT_CALLS = {
+    "AnalysisOptions q": lambda: AnalysisOptions(q_orders=(_PAST_FLOAT,)),
+    "AnalysisOptions t null": lambda: AnalysisOptions(t_null=_PAST_FLOAT),
+    "AnalysisOptions z sigma": lambda: AnalysisOptions(z_sigma=_PAST_FLOAT, z_null=0.0),
+    "describe": lambda: seasonstats.describe([1.0, _PAST_FLOAT]),
+    "t_one_sample": lambda: seasonstats.t_one_sample([1.0, 2.0], _PAST_FLOAT),
+    "z_one_sample k": lambda: seasonstats.z_one_sample([1.0, 2.0], _PAST_FLOAT, 1.0),
+    "z_one_sample sigma": lambda: seasonstats.z_one_sample([1.0, 2.0], 0.0, _PAST_FLOAT),
+    "dft_magnitudes": lambda: seasonstats.dft_magnitudes([_PAST_FLOAT, 1.0]),
+    "top_peaks": lambda: seasonstats.top_peaks([_PAST_FLOAT, 1.0], 1),
+    "diversity": lambda: seasonstats.diversity([_PAST_FLOAT, 1.0], 2.0),
+    "diversity q": lambda: seasonstats.diversity([0.5, 0.5], _PAST_FLOAT),
+    **{name: partial(getattr(seasonstats, name), [_PAST_FLOAT, 1.0])
+       for name in ("entropy", "exponential_entropy", "gini", "hhi", "lorenz",
+                    "theil", "monthly_entropy_terms", "normalize")},
+    "normalize alone": lambda: seasonstats.normalize([_PAST_FLOAT]),
+    "normal_cdf": lambda: special.normal_cdf(_PAST_FLOAT),
+    "regularized_gamma_p": lambda: special.regularized_gamma_p(1.0, _PAST_FLOAT),
+    "regularized_gamma_q": lambda: special.regularized_gamma_q(1.0, _PAST_FLOAT),
+    "chi_square_sf": lambda: special.chi_square_sf(_PAST_FLOAT, 3),
+    "t_cdf dof": lambda: stats.t_cdf(1.0, _PAST_FLOAT),
+    "t_cdf float dof": lambda: stats.t_cdf(_PAST_FLOAT, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_FLOAT_CALLS))
+def test_ints_past_the_float_range_raise_value_error(name):
+    with pytest.raises(ValueError, match="float range"):
+        _PAST_FLOAT_CALLS[name]()

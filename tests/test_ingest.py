@@ -429,6 +429,53 @@ def test_parse_events_splits_clean_text_without_csv(monkeypatch):
         csv.field_size_limit(old)
 
 
+# ASCII, full-width and Arabic-Indic digits
+_DIGITS = ("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",
+           "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def _near_date(year, month, day, dashes, digits, cut):
+    """A `YYYY-MM-DD`-like field in `digits`, possibly one character short or long."""
+    text = (year + dashes[0] + month + dashes[1] + day).translate(
+        str.maketrans(_DIGITS[0], digits))
+    return (text, text[1:], text[:-1], "0" + text, text + "0")[cut]
+
+
+# years with and without a Feb 29, months 00 and 13, days 00 and 32, "/" or
+# a space for a dash, and 9- and 11-character fields
+_NEAR_DATES = st.builds(_near_date, st.sampled_from(("2012", "2013", "2000", "1900")),
+                        st.sampled_from(("00", "01", "02", "12", "13")),
+                        st.sampled_from(("00", "01", "28", "29", "31", "32")),
+                        st.tuples(*[st.sampled_from(("-", "/", " "))] * 2),
+                        st.sampled_from(_DIGITS), st.integers(0, 4))
+
+
+@given(_NEAR_DATES)
+@example("2012-02-29")
+@example("2000-02-29")
+@example("1900-02-29")
+@example("2012-13-01")
+@example("2012-00-10")
+@example("2012-01-32")
+def test_one_date_rule_on_both_paths(field):
+    # clean text takes the fast path and the same text with one label quoted
+    # takes csv.reader; both read the drawn date as the reference does
+    clean = _csv("journal,submitted_at,decision", "JSCS,2012-01-15,accepted",
+                 f"JSCS,{field},rejected", "Entropy,2013-03-01,accepted")
+    for text in (clean, clean.replace("\nEntropy,", '\n"Entropy",')):
+        try:
+            expected = _tally_rows("JSCS", _parse_all_then_filter(text, "JSCS"))
+        except DataError as exc:
+            with pytest.raises(DataError) as raised:
+                parse_events(text, "JSCS")
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_events(text, "JSCS") == expected
+            if text is clean:
+                with mock.patch.object(ingest.csv, "reader", side_effect=AssertionError):
+                    assert parse_events(text, "JSCS") == expected
+
+
 def _assert_same_error(text, pattern):
     """`parse_events` raises the reference's DataError on `text`, which matches `pattern`."""
     with pytest.raises(DataError, match=pattern) as reference:
@@ -585,6 +632,13 @@ def test_matrices_from_counts_empty_journal():
     rows = parse_counts(COUNTS_TEXT)
     with pytest.raises(DataError, match="empty selection"):
         matrices_from_counts(rows, "K")
+
+
+def test_matrices_from_counts_refuses_empty_rows():
+    # a row with no first field has no journal to select it by
+    for rows in ([""], [()], [{}]):
+        with pytest.raises(DataError, match="^counts rows must have five fields$"):
+            matrices_from_counts(rows, "x")
 
 
 def test_matrices_from_counts_default_years_span_gap(journal_counts_rows):

@@ -617,11 +617,12 @@ def test_json_number_is_repr_of_rounded_text(x, places):
 
 
 @functools.lru_cache(maxsize=None)
-def _golden_bundle(run):
-    """The bundle of a golden run, with the options its CLI arguments give."""
+def _golden_bundle(run, *flags):
+    """The bundle of a golden run, with the options its CLI arguments give,
+    then `flags` after them."""
     input_name, journal, extra = rv.GOLDEN_RUNS[run]
     args = cli.build_parser().parse_args(["--input", input_name, "--format", "counts",
-                                          "--journal", journal, *extra])
+                                          "--journal", journal, *extra, *flags])
     options = AnalysisOptions(q_orders=cli._parse_orders(args.q), precision=args.precision,
                               t_null=args.t_null, z_sigma=args.z_sigma, z_null=args.z_null)
     rows = parse_counts((DATA_DIR / input_name).read_text(encoding="utf-8-sig"))
@@ -696,6 +697,25 @@ def test_golden_json_holds_csv_cells(run):
     for name in DOCUMENT_NAMES:
         _assert_json_holds_csv_cells((golden / f"{name}.csv").read_text(encoding="utf-8"),
                                      (golden / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
+def test_csv_documents_equal_csv_writer_text(run):
+    # `_csv_text` joins cells with commas, as no label, year, `_rounded` text
+    # or NA needs quoting; csv.writer is the reference for the same rows. The
+    # q orders add long labels, and the t null 1e25 Decimal-fallback cells.
+    variants = [("--precision", str(places)) for places in range(1, 13)]
+    variants += [("--q", "0.1234567,inf,1e6"), ("--t-null", "1e25")]
+    for flags in variants:
+        bundle = _golden_bundle(run, *flags)
+        layouts = report._layouts(bundle).values()
+        for layout, doc in zip(layouts, render(bundle, "csv"), strict=True):
+            header, rows = report._grid(layout, bundle.options.precision)
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert doc.text == out.getvalue(), (flags, doc.name)
 
 
 @settings(max_examples=30, deadline=None)
