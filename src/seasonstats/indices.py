@@ -3,6 +3,12 @@
 All logarithms are natural, so entropies are in nats and a uniform
 12-month distribution has entropy ln 12. Vectors may contain None for
 months with no defined value; such entries are skipped.
+
+Every vector is read by `_floats`, which `normalize` and the footer
+statistics share: a negative entry, an int past the float range, NaN and
++/-inf raise ValueError, and so does a sum of the entries past the float
+range wherever an index divides by it (`lorenz`, `gini`). A NaN
+diversity order raises ValueError by name.
 """
 from __future__ import annotations
 
@@ -22,20 +28,35 @@ class IndexSummary(NamedTuple):
     gini: float
 
 
-def _defined(p: Vector) -> list[float]:
+def _floats(x: Vector, noun: str = "entries", distribution: bool = True) -> list:
+    """The entries of x that are not None, as floats and in order: the one
+    reader of number vectors for the indices, `normalize` and the footer
+    statistics. Entries are read in order, and the first one that fails
+    raises ValueError: a negative entry of a distribution (checked before
+    its conversion) or an int past the float range; then NaN or +/-inf.
+
+    Two readers stay apart: `dft_magnitudes` takes a series, which has no
+    None holes, and checks finiteness only once a magnitude is not finite,
+    and `chi_square_uniform` takes counts by the integer rule."""
     out = []
-    for v in p:
+    for v in x:
         if v is None:
             continue
-        if v < 0:
+        if distribution and v < 0:
             raise ValueError("negative entry in distribution")
         try:
             out.append(float(v))
         except OverflowError:  # an int past the float range
-            raise ValueError("entries must lie within the float range") from None
-    if not out:
-        raise ValueError("no defined entries")
+            raise ValueError(f"{noun} must lie within the float range") from None
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{noun} must be finite")
     return out
+
+def _defined(p: Vector) -> list[float]:
+    values = _floats(p)
+    if not values:
+        raise ValueError("no defined entries")
+    return values
 
 def _left_sum(values) -> float:
     """values added left to right from 0, as every float sum of the package is:
@@ -59,18 +80,8 @@ def entropy(p: Vector) -> float:
 
 def monthly_entropy_terms(p: Vector) -> tuple:
     """Per-entry information terms -p ln p, preserving positions and None."""
-    terms = []
-    for v in p:
-        if v is None:
-            terms.append(None)
-            continue
-        if v < 0:
-            raise ValueError("negative entry in distribution")
-        try:
-            terms.append(-v * math.log(v) if v > 0.0 else 0.0)
-        except OverflowError:  # an int past the float range
-            raise ValueError("entries must lie within the float range") from None
-    return tuple(terms)
+    _floats(p)
+    return tuple(None if v is None else -v * math.log(v) if v > 0.0 else 0.0 for v in p)
 
 def diversity(p: Vector, q: float) -> float:
     """Hill diversity of order q, the effective number of categories.
@@ -83,9 +94,15 @@ def diversity(p: Vector, q: float) -> float:
     accepted; with q = 1 that yields the exponential of the raw conditional
     entropy.
     """
-    if q < 0:
-        raise ValueError("diversity order must be non-negative")
+    _check_orders((q,))
     return _diversity(_defined(p), q)
+
+def _check_orders(q_orders: Sequence[float]) -> None:
+    for q in q_orders:
+        if q != q:  # q < 0 is false for NaN; != converts no int
+            raise ValueError("diversity orders must not be NaN")
+        if q < 0:
+            raise ValueError("diversity order must be non-negative")
 
 def _diversity(values: list, q: float, h: "float | None" = None) -> float:
     """Hill diversity of order q >= 0; h is the entropy of values when known."""
@@ -148,9 +165,7 @@ def lorenz(z: Vector) -> list:
     values.
     """
     values = sorted(_defined(z))
-    total = _left_sum(values)
-    if total <= 0:
-        raise ValueError("all entries are zero")
+    total = _total(values)
     n = len(values)
     points = [(0.0, 0.0)]
     running = 0.0
@@ -168,14 +183,25 @@ def gini(z: Vector) -> float:
     """
     return _gini(_defined(z))
 
-def _gini(values: list) -> float:
+def _total(values: list) -> float:
+    """The sum of values, refused when it is zero or past the float range."""
     total = _left_sum(values)
     if total <= 0:
         raise ValueError("all entries are zero")
+    if total == math.inf:
+        raise ValueError("sum of entries overflows the float range")
+    return total
+
+def _gini(values: list) -> float:
     n = len(values)
+    scale = 2.0 * n * _total(values)
+    # the sum of |a - b| is at most scale, so it overflows only where scale
+    # does, and scale alone overflowing would make the quotient 0.0
+    if scale == math.inf:
+        raise ValueError("gini denominator 2 n sum overflows the float range")
     # abs(a - b) bit for bit without a call: b - a is exactly -(a - b)
     abs_diff = _left_sum([a - b if a > b else b - a for a in values for b in values])
-    return abs_diff / (2.0 * n * total)
+    return abs_diff / scale
 
 def index_summary(p: Vector, q_orders: Sequence[float],
                   hill: "Vector | None" = None) -> IndexSummary:
@@ -187,8 +213,7 @@ def index_summary(p: Vector, q_orders: Sequence[float],
     gini(p), and a field that its call refuses raises the same ValueError.
     The orders are checked first, then p's entries, then hill's.
     """
-    if any(q < 0 for q in q_orders):
-        raise ValueError("diversity order must be non-negative")
+    _check_orders(q_orders)
     values = _defined(p)
     h = _entropy(values)
     if hill is None:

@@ -8,13 +8,10 @@ and marks a month with no submissions as undefined (None).
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple, Sequence
 
-from .indices import _left_sum
+from .indices import _floats, _left_sum
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_type
-
-_FLOAT_MAX = sys.float_info.max
 
 
 class MonthTable(NamedTuple):
@@ -71,13 +68,15 @@ def conditional(submitted: CountMatrix, accepted: CountMatrix) -> MonthTable:
 
 
 def normalize(vector: Sequence["float | None"]) -> tuple:
-    """Scale a non-negative vector to shares summing to 1, preserving None."""
-    defined = [v for v in vector if v is not None]
-    if any(v < 0 for v in defined):
-        raise DataError("negative entry")
-    if not all(v <= _FLOAT_MAX for v in defined):  # false for NaN, inf and ints past it
-        raise DataError("entries must be finite and within the float range")
-    total = _left_sum(defined)
+    """Scale a non-negative vector to shares summing to 1, preserving None.
+
+    The entries are checked as the indices check theirs, and summed as
+    given: ints keep an exact sum."""
+    try:
+        _floats(vector)
+    except ValueError as error:
+        raise DataError(str(error)) from None
+    total = _left_sum([v for v in vector if v is not None])
     if total <= 0:
         raise DataError("cannot normalize: no positive entries")
     if total == math.inf:

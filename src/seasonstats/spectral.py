@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import NamedTuple, Sequence
 
 
@@ -145,6 +145,7 @@ def dft_magnitudes(x: Sequence[float]) -> tuple:
 
 def top_peaks(x: Sequence[float], k: int) -> list:
     """The k largest spectral peaks, ties broken toward lower frequency."""
+    k = index(k)
     if k < 1:
         raise ValueError("need at least one peak")
     spectrum = dft_magnitudes(x)

@@ -10,6 +10,7 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
+from .indices import _floats
 from .special import chi_square_sf, normal_cdf, regularized_beta
 
 
@@ -32,16 +33,6 @@ class DescriptiveStats(NamedTuple):
 # bits kept by the square root before its final rounding, as in CPython's
 # statistics module: 2 x 53 + 3 leaves at least 55 bits in the root
 _SQRT_BITS = 2 * sys.float_info.mant_dig + 3
-
-
-def _values(x: Sequence["float | None"]) -> list:
-    try:
-        values = [float(v) for v in x if v is not None]
-    except OverflowError:  # an int past the float range
-        raise ValueError("values must lie within the float range") from None
-    if not all(map(math.isfinite, values)):
-        raise ValueError("values must be finite")
-    return values
 
 
 def _mean(values: list) -> float:
@@ -90,8 +81,16 @@ def _stdev(values: list) -> float:
         raise ValueError("standard deviation overflows the float range") from None
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Refuse NaN and +/-inf by name. The comparisons convert no int, so an
+    int past the float range passes on to the arithmetic that names that range."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} value must be finite")
+
+
 def _standard_score(name: str, mean: float, k: float, spread: float, n: int) -> float:
     """(mean - k) / (spread / sqrt(n)), refused when it passes the float range."""
+    _check_finite(f"{name} null", k)
     try:
         diff = mean - k
         scale = spread / math.sqrt(n)
@@ -106,7 +105,7 @@ def _standard_score(name: str, mean: float, k: float, spread: float, n: int) -> 
 
 def _moments(x: Sequence["float | None"]) -> tuple:
     """(n, mean, sample standard deviation) of the defined values of x."""
-    values = _values(x)
+    values = _floats(x, "values", distribution=False)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
     return len(values), _mean(values), _stdev(values)
@@ -171,6 +170,8 @@ def t_cdf(t: float, dof: int) -> float:
     1e8 raise ValueError, as the incomplete beta's shapes pass 5e7."""
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
+    if t != t:  # converts no int: t * t stays exact for an int past the float range
+        raise ValueError("t value must not be NaN")
     try:
         tail = _t_tail(t * t, dof)
     except OverflowError:  # an int past the float range
@@ -186,9 +187,14 @@ def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
     return TestResult(stat, min(_t_tail(stat * stat, dof), 1.0), dof, k, "t_one_sample")
 
 
-def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:
+def _check_sigma(sigma: float) -> None:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    _check_finite("z sigma", sigma)
+
+
+def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:
+    _check_sigma(sigma)
     stat = _standard_score("z", mean, k, sigma, n)
     # the lower tail at -|z|: 1 - normal_cdf(|z|) cancels to 0 from z ~ 8.3
     p = 2.0 * normal_cdf(-abs(stat))
@@ -206,9 +212,8 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
 
 def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestResult:
     """One-sample z-test with known standard deviation sigma."""
-    if sigma <= 0:  # refused before the values are read
-        raise ValueError("sigma must be positive")
-    values = _values(x)
+    _check_sigma(sigma)  # refused before the values are read
+    values = _floats(x, "values", distribution=False)
     if not values:
         raise ValueError("empty sample")
     return _z_test(len(values), _mean(values), k, sigma)

@@ -6,7 +6,8 @@ non-finite, huge, subnormal and None values and short lists of them, mixed
 with a few well-typed values (a format, a journal label, a count matrix,
 options and a bundle) so that calls get past their first argument. A
 `DataError` is a ValueError. Any other exception escaping is a failure, and
-so is a probability or p-value outside [0, 1].
+so is a probability or p-value outside [0, 1], and a NaN anywhere in a result
+(the plain NamedTuple records aside, which hold what they are given).
 """
 
 import inspect
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seasonstats
-from seasonstats import AnalysisOptions, CountMatrix, build_bundle, special, stats
+from seasonstats import AnalysisOptions, CountMatrix, build_bundle, indices, special, stats
 
 _SCALARS = st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
                             1e-310, 2**64, 10**400, None))
@@ -46,6 +47,18 @@ def _arity(fn) -> tuple:
     return sum(p.default is p.empty for p in positional), len(positional)
 
 
+# constructors that store their arguments unchecked
+_RECORDS = (seasonstats.AnalysisBundle, seasonstats.DescriptiveStats, seasonstats.MonthTable,
+            seasonstats.NamedDocument, seasonstats.SpectralPeak, seasonstats.TestResult)
+
+
+def _has_nan(result) -> bool:
+    """Whether result is NaN or holds one, in tuples and lists at any depth."""
+    if isinstance(result, (tuple, list)):
+        return any(map(_has_nan, result))
+    return isinstance(result, float) and math.isnan(result)
+
+
 def _assert_probabilities(fn, result):
     if fn in _PROBABILITIES:
         assert 0.0 <= result <= 1.0, result
@@ -68,6 +81,7 @@ def test_hostile_arguments_raise_only_value_or_type_error(name):
         except (ValueError, TypeError):
             return
         _assert_probabilities(fn, result)
+        assert fn in _RECORDS or not _has_nan(result), result
 
     check()
 
@@ -104,3 +118,85 @@ _PAST_FLOAT_CALLS = {
 def test_ints_past_the_float_range_raise_value_error(name):
     with pytest.raises(ValueError, match="float range"):
         _PAST_FLOAT_CALLS[name]()
+
+
+# a NaN or infinite entry placed among None holes and finite entries
+_FINITE_ENTRY = st.none() | st.floats(0.0, 1e300) | st.integers(0, 10**6)
+_NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+_WITH_NON_FINITE = st.tuples(st.lists(_FINITE_ENTRY, max_size=6), _NON_FINITE,
+                             st.lists(_FINITE_ENTRY, max_size=6)).map(
+                                 lambda t: [*t[0], t[1], *t[2]])
+_VECTOR_CALLS = {
+    **{fn.__name__: fn for fn in (seasonstats.entropy, seasonstats.exponential_entropy,
+                                   seasonstats.theil, seasonstats.hhi, seasonstats.gini,
+                                   seasonstats.lorenz, seasonstats.monthly_entropy_terms,
+                                   seasonstats.describe, seasonstats.normalize)},
+    **{f"diversity q={q}": partial(seasonstats.diversity, q=q)
+       for q in (0.0, 1.0, 2.0, math.inf)},
+    "index_summary": lambda x: indices.index_summary(x, (1.0, 2.0)),
+    "index_summary hill": lambda x: indices.index_summary([0.5, 0.5], (1.0,), x),
+    "t_one_sample": lambda x: seasonstats.t_one_sample(x, 0.0),
+    "z_one_sample": lambda x: seasonstats.z_one_sample(x, 0.0, 1.0),
+    # a series has no None holes
+    "dft_magnitudes": lambda x: seasonstats.dft_magnitudes([v or 0.0 for v in x]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VECTOR_CALLS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(_WITH_NON_FINITE)
+def test_vectors_with_a_non_finite_entry_raise_value_error(name, vector):
+    with pytest.raises(ValueError):
+        _VECTOR_CALLS[name](vector)
+
+
+_SAMPLE = [0.1, 0.2, 0.4]
+# each call passes NaN or an infinity as a scalar parameter, refused by name
+# where the function first reads it
+_NAMED_PARAMETER_CALLS = {
+    "t_one_sample nan": (lambda: seasonstats.t_one_sample(_SAMPLE, math.nan),
+                         "t null value must be finite"),
+    "t_one_sample inf": (lambda: seasonstats.t_one_sample(_SAMPLE, math.inf),
+                         "t null value must be finite"),
+    "footer_statistics t nan": (lambda: stats.footer_statistics(_SAMPLE, math.nan),
+                                "t null value must be finite"),
+    "footer_statistics z null inf": (
+        lambda: stats.footer_statistics(_SAMPLE, 0.0, -math.inf, 1.0),
+        "z null value must be finite"),
+    "footer_statistics z sigma nan": (
+        lambda: stats.footer_statistics(_SAMPLE, 0.0, 0.0, math.nan),
+        "z sigma value must be finite"),
+    "t_cdf nan": (lambda: stats.t_cdf(math.nan, 5), "t value must not be NaN"),
+    "z_one_sample null nan": (lambda: seasonstats.z_one_sample(_SAMPLE, math.nan, 1.0),
+                              "z null value must be finite"),
+    "z_one_sample sigma nan": (lambda: seasonstats.z_one_sample(_SAMPLE, 0.0, math.nan),
+                               "z sigma value must be finite"),
+    "z_one_sample sigma inf": (lambda: seasonstats.z_one_sample(_SAMPLE, 0.0, math.inf),
+                               "z sigma value must be finite"),
+    # sigma is refused before the values are read
+    "z_one_sample sigma nan, no values": (lambda: seasonstats.z_one_sample([], 0.0, math.nan),
+                                          "z sigma value must be finite"),
+    "diversity": (lambda: seasonstats.diversity([0.5, 0.5], math.nan),
+                  "diversity orders must not be NaN"),
+    "index_summary": (lambda: indices.index_summary([0.5, 0.5], (1.0, math.nan)),
+                      "diversity orders must not be NaN"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_PARAMETER_CALLS))
+def test_nan_and_infinite_parameters_are_refused_by_name(name):
+    call, message = _NAMED_PARAMETER_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_top_peaks_takes_its_count_as_an_integer():
+    with pytest.raises(TypeError, match="integer"):
+        seasonstats.top_peaks([1.0, 2.0, 3.0, 4.0], 2.0)
+    assert seasonstats.top_peaks([1.0, 2.0, 3.0, 4.0], True) == \
+        seasonstats.top_peaks([1.0, 2.0, 3.0, 4.0], 1)
+
+
+def test_t_cdf_keeps_its_limit_past_the_float_range():
+    assert stats.t_cdf(_PAST_FLOAT, 5) == 1.0
+    assert stats.t_cdf(-_PAST_FLOAT, 5) == 0.0

@@ -170,6 +170,9 @@ def test_gini_is_the_abs_difference_form_bit_for_bit(values):
     if reduce(add, values, 0) <= 0:
         with pytest.raises(ValueError, match="all entries are zero"):
             gini(values)
+    elif math.isnan(_gini_abs_reference(values)):  # the sums overflow
+        with pytest.raises(ValueError, match="overflows the float range"):
+            gini(values)
     else:
         assert gini(values).hex() == _gini_abs_reference(values).hex()
 
