@@ -7,8 +7,12 @@ months with no defined value; such entries are skipped.
 Every vector is read by `_floats`, which `normalize` and the footer
 statistics share: a negative entry, an int past the float range, NaN and
 +/-inf raise ValueError, and so does a sum of the entries past the float
-range wherever an index divides by it (`lorenz`, `gini`). A NaN
-diversity order raises ValueError by name.
+range wherever an index divides by it (`lorenz`, `gini`). Diversity orders
+follow one rule, `_check_orders`, which `AnalysisOptions` calls too: NaN
+and ints past the float range, then negative orders, raise ValueError. A
+result that is not finite for finite entries (a -p ln p term, an entropy,
+an HHI or a diversity past the float range) raises ValueError through one
+rule, `_finite`; no index returns NaN or +/-inf.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ def _floats(x: Vector, noun: str = "entries", distribution: bool = True) -> list
 
     Two readers stay apart: `dft_magnitudes` takes a series, which has no
     None holes, and checks finiteness only once a magnitude is not finite,
-    and `chi_square_uniform` takes counts by the integer rule."""
+    and `chi_square_uniform` takes counts by the count rule, `ingest._counts`."""
     out = []
     for v in x:
         if v is None:
@@ -64,11 +68,25 @@ def _left_sum(values) -> float:
     last bits of the indices and footers depend on the Python version."""
     return reduce(add, values, 0)
 
+def _finite(name: str, value: float) -> float:
+    """value, refused when it is not finite: the one rule for an index whose
+    entries are finite but whose result is not."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} is not finite for this input")
+    return value
+
+def _exp(x: float) -> float:
+    """math.exp(x), inf past the float range, where math.exp raises OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
 # The _-prefixed kernels take the list `_defined` returns. Each sums a
 # built list with _left_sum, in the order the index's formula is written.
 
 def _entropy(values: list) -> float:
-    return _left_sum([-v * math.log(v) for v in values if v > 0.0])
+    return _finite("entropy", _left_sum([-v * math.log(v) for v in values if v > 0.0]))
 
 def entropy(p: Vector) -> float:
     """Shannon entropy sum(-p ln p) with 0 ln 0 = 0.
@@ -81,7 +99,8 @@ def entropy(p: Vector) -> float:
 def monthly_entropy_terms(p: Vector) -> tuple:
     """Per-entry information terms -p ln p, preserving positions and None."""
     _floats(p)
-    return tuple(None if v is None else -v * math.log(v) if v > 0.0 else 0.0 for v in p)
+    return tuple(None if v is None else _finite("entropy term", -v * math.log(v))
+                 if v > 0.0 else 0.0 for v in p)
 
 def diversity(p: Vector, q: float) -> float:
     """Hill diversity of order q, the effective number of categories.
@@ -98,11 +117,17 @@ def diversity(p: Vector, q: float) -> float:
     return _diversity(_defined(p), q)
 
 def _check_orders(q_orders: Sequence[float]) -> None:
-    for q in q_orders:
-        if q != q:  # q < 0 is false for NaN; != converts no int
-            raise ValueError("diversity orders must not be NaN")
-        if q < 0:
-            raise ValueError("diversity order must be non-negative")
+    """The one rule for diversity orders, which `AnalysisOptions` calls too:
+    every order is checked for NaN and the float range before any is checked
+    for its sign, so (-1.0, nan) reports the NaN."""
+    try:
+        if any(map(math.isnan, q_orders)):  # q < 0 is false for NaN
+            raise ValueError("diversity orders must not be NaN: an order that is not "
+                             "finite must be inf")
+    except OverflowError:  # isnan of an int past the float range
+        raise ValueError("diversity orders must lie within the float range") from None
+    if any(q < 0 for q in q_orders):
+        raise ValueError("diversity orders must be non-negative")
 
 def _diversity(values: list, q: float, h: "float | None" = None) -> float:
     """Hill diversity of order q >= 0; h is the entropy of values when known."""
@@ -110,37 +135,23 @@ def _diversity(values: list, q: float, h: "float | None" = None) -> float:
     if p_max == 0.0:
         raise ValueError("all entries are zero")
     if q == 1.0:
-        return math.exp(_entropy(values) if h is None else h)
-    if q == math.inf:
-        return 1.0 / p_max
-    try:
+        result = _exp(_entropy(values) if h is None else h)
+    elif q == math.inf:
+        result = 1.0 / p_max  # inf for a subnormal p_max
+    else:
         total = _left_sum([(v / p_max) ** q for v in values if v > 0.0])
-    except OverflowError:  # an int q past the float range; each v / p_max is at most 1
-        raise ValueError("diversity order must lie within the float range") from None
-    try:
         # the two factors are taken as one exponential: near q = 1 one of
         # them underflows while the other overflows
-        result = math.exp((q * math.log(p_max) + math.log(total)) / (1.0 - q))
-    except OverflowError:
-        result = math.inf
-    if not math.isfinite(result):
-        raise ValueError("diversity is not finite for this input")
-    return result
+        result = _exp((q * math.log(p_max) + math.log(total)) / (1.0 - q))
+    return _finite("diversity", result)
 
 def exponential_entropy(p: Vector) -> float:
     """exp(-H), equivalently the product of p_i^p_i."""
     return _exp_entropy(entropy(p))
 
 def _exp_entropy(h: float) -> float:
-    """exp(-h), refused as diversity refuses a result that is not finite:
-    entries well above 1 make h large and negative."""
-    try:
-        result = math.exp(-h)
-    except OverflowError:
-        result = math.inf
-    if not math.isfinite(result):
-        raise ValueError("exponential entropy is not finite for this input")
-    return result
+    """exp(-h): entries well above 1 make h large and negative."""
+    return _finite("exponential entropy", _exp(-h))
 
 def theil(p: Vector) -> float:
     """Theil index ln N - H; zero for a uniform distribution.
@@ -152,7 +163,7 @@ def theil(p: Vector) -> float:
     return math.log(len(values)) - _entropy(values)
 
 def _hhi(values: list) -> float:
-    return _left_sum([v * v for v in values])
+    return _finite("hhi", _left_sum([v * v for v in values]))
 
 def hhi(p: Vector) -> float:
     """Herfindahl-Hirschman concentration: sum of squared shares."""
@@ -211,16 +222,15 @@ def index_summary(p: Vector, q_orders: Sequence[float],
     when hill is None. Each field equals its separate call bit for bit:
     diversity(hill or p, q), exponential_entropy(p), theil(p), hhi(p) and
     gini(p), and a field that its call refuses raises the same ValueError.
-    The orders are checked first, then p's entries, then hill's.
+    The orders are checked first, then p's entries, then hill's, then the
+    results.
     """
     _check_orders(q_orders)
     values = _defined(p)
+    hill_values = values if hill is None else _defined(hill)
     h = _entropy(values)
-    if hill is None:
-        diversities = tuple(_diversity(values, q, h) for q in q_orders)
-    else:
-        hill_values = _defined(hill)
-        diversities = tuple(_diversity(hill_values, q) for q in q_orders)
+    hill_h = h if hill is None else None
+    diversities = tuple(_diversity(hill_values, q, hill_h) for q in q_orders)
     return IndexSummary(diversities, _exp_entropy(h), math.log(len(values)) - h,
                         _hhi(values), _gini(values))
 

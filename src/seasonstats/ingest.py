@@ -6,6 +6,8 @@ journal, year, month). Both parse to counts rows, and `_matrices` lays out
 every (submitted, accepted) matrix pair. One record reader, `_records`,
 holds both shapes to the same CSV rules (header, blank rows, column count,
 line-numbered errors), and one date rule, `_days`, reads every events date.
+One count rule, `_counts`, holds the counts of `CountMatrix` and of
+`stats.chi_square_uniform` to non-negative integers.
 """
 from __future__ import annotations
 
@@ -69,13 +71,7 @@ class CountMatrix(_CountFields):
         for row in counts:
             if len(row) != len(years):
                 raise DataError("count row width does not match year list")
-            for v in row:
-                try:
-                    bad = v < 0 or v != int(v)
-                except (OverflowError, ValueError):  # int() of inf or nan
-                    bad = True
-                if bad:
-                    raise DataError("counts must be non-negative integers")
+            _counts(row)
         if outcome not in ("submitted", "accepted"):
             raise DataError(f"unknown outcome {outcome!r}")
         return super().__new__(cls, years, counts, outcome)
@@ -101,6 +97,19 @@ class CountMatrix(_CountFields):
         """Counts in chronological order, January of the first year onward."""
         return tuple(self.counts[m][j] for j in range(len(self.years))
                      for m in range(MONTHS_PER_YEAR))
+
+
+def _counts(values: Sequence) -> list:
+    """`values` as ints, refused with DataError unless each is a non-negative
+    integer: the one count rule of `CountMatrix` and `chi_square_uniform`.
+    An integral float such as 3.0 is taken, and `CountMatrix` stores it as given."""
+    try:
+        ints = list(map(int, values))
+    except (OverflowError, ValueError):  # int() of inf, nan or a str that is no integer
+        ints = None
+    if ints is None or ints != list(values) or min(ints, default=0) < 0:
+        raise DataError("counts must be non-negative integers")
+    return ints
 
 
 def _int_years(years: Iterable) -> tuple:

@@ -29,11 +29,11 @@ from functools import partial
 from itertools import groupby
 from typing import NamedTuple
 
-from .indices import _left_sum, entropy, index_summary, monthly_entropy_terms
+from .indices import _check_orders, _left_sum, entropy, index_summary, monthly_entropy_terms
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_type
 from .probability import MonthTable, conditional, normalize, shares
 from .spectral import top_peaks
-from .stats import chi_square_uniform, describe, footer_statistics
+from .stats import _check_finite, _check_sigma, chi_square_uniform, describe, footer_statistics
 
 # perfbench/tracing.py wraps functions at the names this module looks up.
 # These stay bound for it, although the footers and the index block now
@@ -130,34 +130,27 @@ class AnalysisOptions(_OptionFields):
             raise DataError("precision must be an integer") from None
         if places not in _FAST_ROUNDING:
             raise DataError("precision must lie in 1..12")
+        # the parameter rules are those of the functions that read the values;
+        # their ValueError is raised as DataError
         try:
-            if any(math.isnan(q) for q in q_orders):
-                # q < 0 is false for NaN
-                raise DataError("diversity orders must not be NaN: an order that is not "
-                                "finite must be inf")
-        except OverflowError:  # isnan of an int past the float range
-            raise DataError("diversity orders must lie within the float range") from None
-        if any(q < 0 for q in q_orders):
-            raise DataError("diversity orders must be non-negative")
-        q_orders = tuple(abs(q) if q == 0 else q for q in q_orders)  # -0.0 labels D-0
-        # CSV and Markdown would hold two rows of one label, and JSON only the last
-        first_orders = {}
-        for q in q_orders:
-            label = _diversity_label(q)
-            if label in first_orders:
-                raise DataError(f"diversity orders {first_orders[label]!r} and {q!r} "
-                                f"share the row label {label}")
-            first_orders[label] = q
-        if (z_sigma is None) != (z_null is None):
-            raise DataError("z test needs both a sigma and a null value")
-        for name, value in (("t null", t_null), ("z null", z_null), ("z sigma", z_sigma)):
-            try:
-                if value is not None and not math.isfinite(value):
-                    raise DataError(f"{name} value must be finite")
-            except OverflowError:  # isfinite of an int past the float range
-                raise DataError(f"{name} value must lie within the float range") from None
-        if z_sigma is not None and z_sigma <= 0:
-            raise DataError("z sigma must be positive")
+            _check_orders(q_orders)
+            q_orders = tuple(abs(q) if q == 0 else q for q in q_orders)  # -0.0 labels D-0
+            # CSV and Markdown would hold two rows of one label, and JSON only the last
+            first_orders = {}
+            for q in q_orders:
+                label = _diversity_label(q)
+                if label in first_orders:
+                    raise ValueError(f"diversity orders {first_orders[label]!r} and {q!r} "
+                                     f"share the row label {label}")
+                first_orders[label] = q
+            if (z_sigma is None) != (z_null is None):
+                raise ValueError("z test needs both a sigma and a null value")
+            _check_finite("t null", t_null)
+            if z_sigma is not None:
+                _check_finite("z null", z_null)
+                _check_sigma(z_sigma)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         return super().__new__(cls, q_orders, places, t_null, z_sigma, z_null)
 
     @classmethod

@@ -11,6 +11,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .indices import _floats
+from .ingest import _counts
 from .special import chi_square_sf, normal_cdf, regularized_beta
 
 
@@ -82,20 +83,22 @@ def _stdev(values: list) -> float:
 
 
 def _check_finite(name: str, value: float) -> None:
-    """Refuse NaN and +/-inf by name. The comparisons convert no int, so an
-    int past the float range passes on to the arithmetic that names that range."""
-    if not -math.inf < value < math.inf:
+    """The one rule for the t and z nulls and sigma, which `AnalysisOptions`
+    calls too: NaN and +/-inf, and an int past the float range, are refused
+    by name."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # isfinite of an int past the float range
+        raise ValueError(f"{name} value must lie within the float range") from None
+    if not finite:
         raise ValueError(f"{name} value must be finite")
 
 
 def _standard_score(name: str, mean: float, k: float, spread: float, n: int) -> float:
     """(mean - k) / (spread / sqrt(n)), refused when it passes the float range."""
     _check_finite(f"{name} null", k)
-    try:
-        diff = mean - k
-        scale = spread / math.sqrt(n)
-    except OverflowError:  # an int k or spread past the float range
-        raise ValueError(f"{name} test arguments must lie within the float range") from None
+    diff = mean - k
+    scale = spread / math.sqrt(n)
     # a subnormal spread can underflow to zero once divided by sqrt(n)
     stat = diff / scale if scale else diff / spread * math.sqrt(n)
     if math.isinf(stat):
@@ -131,15 +134,7 @@ def chi_square_uniform(counts: Sequence[int]) -> TestResult:
     integer counts with one rounding; the p-value is the upper chi-square
     tail with n - 1 degrees of freedom.
     """
-    try:
-        observed = [int(c) for c in counts]
-        integral = observed == list(counts)
-    except (OverflowError, ValueError):  # int() of inf or nan
-        integral = False
-    if not integral:
-        raise ValueError("counts must be integers")
-    if any(c < 0 for c in observed):
-        raise ValueError("counts must be non-negative")
+    observed = _counts(counts)
     total = sum(observed)
     if total == 0:
         raise ValueError("zero total count")
@@ -166,8 +161,10 @@ def _t_tail(t2: float, dof: int) -> float:
 
 def t_cdf(t: float, dof: int) -> float:
     """Cumulative distribution function of Student's t, from the two-sided
-    tail, so neither side loses precision far out. Degrees of freedom past
-    1e8 raise ValueError, as the incomplete beta's shapes pass 5e7."""
+    tail, so neither side loses precision far out. Degrees of freedom that are
+    not finite, or past 1e8 (as the incomplete beta's shapes pass 5e7), raise
+    ValueError."""
+    _check_finite("degrees of freedom", dof)
     if dof < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if t != t:  # converts no int: t * t stays exact for an int past the float range
@@ -188,9 +185,11 @@ def _t_test(n: int, mean: float, std: float, k: float) -> TestResult:
 
 
 def _check_sigma(sigma: float) -> None:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    """The one rule for the z test's sigma, which `AnalysisOptions` calls too:
+    finite, then positive."""
     _check_finite("z sigma", sigma)
+    if sigma <= 0:
+        raise ValueError("z sigma must be positive")
 
 
 def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:

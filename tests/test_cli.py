@@ -408,7 +408,17 @@ def test_overflowing_z_statistic_exits_1(tmp_path, capsys, sigma):
     # diversity passes the float range
     (None, "JSCS", ["--q", "0.9999999"],
      "t5_indices conditional, column 2012: diversity is not finite for this input"),
-], ids=["negative-count", "q-near-1"])
+    # the options refuse these with the texts of the library's checks
+    (None, "JSCS", ["--q", "nan"],
+     "diversity orders must not be NaN: an order that is not finite must be inf"),
+    (None, "JSCS", ["--q=-1"], "diversity orders must be non-negative"),
+    (None, "JSCS", ["--t-null", "inf"], "t null value must be finite"),
+    (None, "JSCS", ["--z-sigma", "0", "--z-null", "0.08"], "z sigma must be positive"),
+    (None, "JSCS", ["--z-sigma=-inf", "--z-null", "0.08"], "z sigma value must be finite"),
+    (None, "JSCS", ["--z-null", "nan", "--z-sigma", "1"], "z null value must be finite"),
+    (None, "JSCS", ["--z-sigma", "1"], "z test needs both a sigma and a null value"),
+], ids=["negative-count", "q-near-1", "q-nan", "q-negative", "t-null-inf", "z-sigma-zero",
+        "z-sigma-minus-inf", "z-null-nan", "z-sigma-alone"])
 def test_refused_value_exits_1_with_its_message(tmp_path, capsys, counts, journal, flags,
                                                 message):
     path = DATA_DIR / "journal_counts.csv"

@@ -59,6 +59,19 @@ def _has_nan(result) -> bool:
     return isinstance(result, float) and math.isnan(result)
 
 
+# the indices, which refuse a result that is not finite
+_INDICES = {seasonstats.entropy, seasonstats.exponential_entropy, seasonstats.diversity,
+            seasonstats.theil, seasonstats.hhi, seasonstats.gini, seasonstats.lorenz,
+            seasonstats.monthly_entropy_terms}
+
+
+def _has_infinity(result) -> bool:
+    """Whether result is +/-inf or holds one, in tuples and lists at any depth."""
+    if isinstance(result, (tuple, list)):
+        return any(map(_has_infinity, result))
+    return isinstance(result, float) and math.isinf(result)
+
+
 def _assert_probabilities(fn, result):
     if fn in _PROBABILITIES:
         assert 0.0 <= result <= 1.0, result
@@ -82,6 +95,7 @@ def test_hostile_arguments_raise_only_value_or_type_error(name):
             return
         _assert_probabilities(fn, result)
         assert fn in _RECORDS or not _has_nan(result), result
+        assert fn not in _INDICES or not _has_infinity(result), result
 
     check()
 
@@ -167,6 +181,10 @@ _NAMED_PARAMETER_CALLS = {
         lambda: stats.footer_statistics(_SAMPLE, 0.0, 0.0, math.nan),
         "z sigma value must be finite"),
     "t_cdf nan": (lambda: stats.t_cdf(math.nan, 5), "t value must not be NaN"),
+    "t_cdf dof nan": (lambda: stats.t_cdf(1.0, math.nan),
+                      "degrees of freedom value must be finite"),
+    "t_cdf dof inf": (lambda: stats.t_cdf(1.0, math.inf),
+                      "degrees of freedom value must be finite"),
     "z_one_sample null nan": (lambda: seasonstats.z_one_sample(_SAMPLE, math.nan, 1.0),
                               "z null value must be finite"),
     "z_one_sample sigma nan": (lambda: seasonstats.z_one_sample(_SAMPLE, 0.0, math.nan),
@@ -177,9 +195,9 @@ _NAMED_PARAMETER_CALLS = {
     "z_one_sample sigma nan, no values": (lambda: seasonstats.z_one_sample([], 0.0, math.nan),
                                           "z sigma value must be finite"),
     "diversity": (lambda: seasonstats.diversity([0.5, 0.5], math.nan),
-                  "diversity orders must not be NaN"),
+                  "diversity orders must not be NaN: an order that is not finite must be inf"),
     "index_summary": (lambda: indices.index_summary([0.5, 0.5], (1.0, math.nan)),
-                      "diversity orders must not be NaN"),
+                      "diversity orders must not be NaN: an order that is not finite must be inf"),
 }
 
 
@@ -188,6 +206,45 @@ def test_nan_and_infinite_parameters_are_refused_by_name(name):
     call, message = _NAMED_PARAMETER_CALLS[name]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+_ODD = st.sampled_from((math.nan, math.inf, -math.inf, -1, 0, -0.0, 5e-324, _PAST_FLOAT))
+_ODD_ORDERS = st.lists(_ODD | st.sampled_from((0.5, 1.0, 2, 3.5)), min_size=1, max_size=3,
+                       unique_by=lambda q: q == 0 or repr(q))  # no two share a row label
+_SHARES = [0.25, 0.25, 0.5]
+
+
+def _refusal(call, exception):
+    """The message of the `exception` that call() raises, or None."""
+    try:
+        call()
+    except exception as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_ODD_ORDERS.map(lambda q: {"q_orders": tuple(q)}),
+                 (_ODD | st.floats(-1, 1)).map(lambda v: {"t_null": v}),
+                 (_ODD | st.floats(-1, 1)).map(lambda v: {"z_null": v, "z_sigma": 0.5}),
+                 (_ODD | st.floats(0.01, 1)).map(lambda v: {"z_null": 0.08, "z_sigma": v})))
+def test_options_refuse_a_parameter_with_the_message_of_the_call_that_reads_it(given_options):
+    # one parameter is drawn and the others are valid; AnalysisOptions and the
+    # library function that consumes the value state one rule
+    options = {"q_orders": (1.0, 2.0), "t_null": 0.08, "z_null": None, "z_sigma": None,
+               **given_options}
+    if "q_orders" in given_options:
+        library = partial(indices.index_summary, _SHARES, options["q_orders"])
+    else:
+        library = partial(stats.footer_statistics, _SAMPLE, options["t_null"],
+                          options["z_null"], options["z_sigma"])
+    expected = _refusal(library, ValueError)
+    got = _refusal(partial(AnalysisOptions, **options), seasonstats.DataError)
+    if got is None:
+        # sigma 5e-324 passes both, and the sample's z statistic then overflows
+        assert expected in (None, "z statistic overflows the float range")
+    else:
+        assert got == expected
 
 
 def test_top_peaks_takes_its_count_as_an_integer():

@@ -103,7 +103,7 @@ def test_diversity_orders():
     assert diversity([0.5, 0.3, 0.2], 5000.0) == pytest.approx(2.0, rel=1e-3)
     with pytest.raises(ValueError, match="non-negative"):
         diversity(UNIFORM_12, -1.0)
-    with pytest.raises(ValueError, match="^diversity order must be non-negative$"):
+    with pytest.raises(ValueError, match="^diversity orders must be non-negative$"):
         index_summary(UNIFORM_12, (1.0, -1.0))
     with pytest.raises(ValueError, match="all entries are zero"):
         diversity([0.0, 0.0], 2.0)
@@ -214,11 +214,28 @@ def test_none_entries_are_skipped():
         entropy([0.5, -0.1])
 
 
-@pytest.mark.parametrize("p", [[1e300, 1e-300], [0.5, 0.5, 1e10], [1e308, 1.0]])
-def test_exponential_entropy_not_finite_refused(p):
+@pytest.mark.parametrize("call, name", [
+    (lambda: hhi([1e200, 1e200]), "hhi"),
+    (lambda: entropy([1e308, 1e308]), "entropy"),
+    (lambda: theil([1e308, 1e308]), "entropy"),
+    (lambda: monthly_entropy_terms([1e308]), "entropy term"),
+    # the Berger-Parker limit 1 / p_max of a subnormal p_max
+    (lambda: diversity([5e-324], math.inf), "diversity"),
+    (lambda: index_summary([5e-324], (math.inf,)), "diversity"),
+], ids=["hhi", "entropy", "theil", "monthly_entropy_terms", "diversity", "index_summary"])
+def test_finite_entries_with_a_result_past_the_float_range_are_refused(call, name):
+    with pytest.raises(ValueError, match=f"^{name} is not finite for this input$"):
+        call()
+
+
+@pytest.mark.parametrize("p, name", [([1e300, 1e-300], "exponential entropy"),
+                                     ([0.5, 0.5, 1e10], "exponential entropy"),
+                                     # the entropy itself passes the float range
+                                     ([1e308, 1.0], "entropy")], ids=["p0", "p1", "p2"])
+def test_exponential_entropy_not_finite_refused(p, name):
     # entries well above 1 make the entropy large and negative, so exp(-H)
     # overflows; refused as diversity refuses a result that is not finite
-    message = "^exponential entropy is not finite for this input$"
+    message = f"^{name} is not finite for this input$"
     with pytest.raises(ValueError, match=message):
         exponential_entropy(p)
     with pytest.raises(ValueError, match=message):

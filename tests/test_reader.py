@@ -14,7 +14,9 @@ tests/test_contract.py).
 normalize is the one caller whose errors changed: it now raises the
 reader's messages as DataError, listed in `_NORMALIZE_REWORDED`, and reads
 its entries in order, so an int past the float range that comes before the
-first negative entry is named instead of that entry.
+first negative entry is named instead of that entry. The indices have since
+refused a result that is not finite, and the old terms of
+`monthly_entropy_terms` are held to that rule, `indices._finite`, too.
 """
 
 import math
@@ -63,6 +65,15 @@ def _monthly_entropy_terms_reference(p):
         except OverflowError:  # an int past the float range
             raise ValueError("entries must lie within the float range") from None
     return tuple(terms)
+
+
+def _finite_terms(terms):
+    """The old terms under the result rule of the indices: a term past the
+    float range (-inf, from an entry near 1e308) is refused."""
+    for term in terms:
+        if term is not None:
+            indices._finite("entropy term", term)
+    return terms
 
 
 def _values_reference(x):
@@ -140,7 +151,7 @@ _PAIRS = {
                             lambda x, q=q: indices._diversity(_defined_reference(x), q))
        for q in (0.0, 0.5, 1.0, 2.0, math.inf)},
     "monthly_entropy_terms": (seasonstats.monthly_entropy_terms,
-                              _monthly_entropy_terms_reference),
+                              lambda x: _finite_terms(_monthly_entropy_terms_reference(x))),
     "describe": (seasonstats.describe, lambda x: stats._band(*_moments_reference(x))),
     "t_one_sample": (lambda x: seasonstats.t_one_sample(x, 0.25),
                      lambda x: stats._t_test(*_moments_reference(x), 0.25)),

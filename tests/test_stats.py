@@ -183,7 +183,7 @@ def test_footer_statistics_error_precedence():
         footer_statistics(huge, 0.08, 0.08, 5e-324)
     with pytest.raises(ValueError, match=r"^mean \+/- 2 sd band overflows"):
         footer_statistics(huge, 0.08, 0.08, 0.03)
-    with pytest.raises(ValueError, match="^sigma must be positive$"):
+    with pytest.raises(ValueError, match="^z sigma must be positive$"):
         footer_statistics([0.1, 0.2], 0.08, 0.08, 0.0)
 
 
@@ -228,7 +228,7 @@ def test_chi_square_uniform_is_zero():
                                     [1, math.nan, 2], [-math.inf, 1]])
 def test_chi_square_uniform_refuses_counts_that_are_not_integers(counts):
     # int() would test [1.9, 2.9, 3.9] as [1, 2, 3]
-    with pytest.raises(ValueError, match="^counts must be integers$"):
+    with pytest.raises(ValueError, match="^counts must be non-negative integers$"):
         chi_square_uniform(counts)
 
 
