@@ -3,8 +3,6 @@
 Exit codes: 0 on success, 1 on validation problems (arguments or data),
 2 on I/O problems (unreadable input, unwritable output).
 """
-from __future__ import annotations
-
 import argparse
 import functools
 import gc

@@ -14,14 +14,12 @@ result that is not finite for finite entries (a -p ln p term, an entropy,
 an HHI or a diversity past the float range) raises ValueError through one
 rule, `_finite`; no index returns NaN or +/-inf.
 """
-from __future__ import annotations
-
 import math
 from functools import reduce
 from operator import add
 from typing import NamedTuple, Sequence
 
-Vector = Sequence["float | None"]
+Vector = Sequence[float | None]
 
 
 class IndexSummary(NamedTuple):
@@ -107,7 +105,10 @@ def diversity(p: Vector, q: float) -> float:
 
     For q != 1 this is (sum p_i^q)^(1/(1-q)), evaluated in the form scaled
     by the largest entry, p_max^(q/(1-q)) (sum (p_i/p_max)^q)^(1/(1-q)), so
-    that large q neither underflows nor divides by zero. q = 1 is
+    that large q neither underflows nor divides by zero; where q ln p_max
+    passes the float range, each term of the exponent is divided by 1 - q
+    before they are added. Within 0.25 of q = 1 it is evaluated through
+    expm1 and log1p, so that 1 - q divides no rounding error. q = 1 is
     dispatched to exp(entropy) and q = inf to the Berger-Parker limit
     1/p_max rather than numeric limits. Raw (unnormalized) vectors are
     accepted; with q = 1 that yields the exponential of the raw conditional
@@ -129,7 +130,7 @@ def _check_orders(q_orders: Sequence[float]) -> None:
     if any(q < 0 for q in q_orders):
         raise ValueError("diversity orders must be non-negative")
 
-def _diversity(values: list, q: float, h: "float | None" = None) -> float:
+def _diversity(values: list, q: float, h: float | None = None) -> float:
     """Hill diversity of order q >= 0; h is the entropy of values when known."""
     p_max = max(values)
     if p_max == 0.0:
@@ -138,11 +139,27 @@ def _diversity(values: list, q: float, h: "float | None" = None) -> float:
         result = _exp(_entropy(values) if h is None else h)
     elif q == math.inf:
         result = 1.0 / p_max  # inf for a subnormal p_max
+    elif abs(q - 1.0) < 0.25:
+        # near q = 1 the form below divides its rounding errors by 1 - q; this
+        # one divides only terms that shrink with q - 1, as
+        #   ln sum p^q = (q - 1) ln p_max + ln sum p + log1p(sum w expm1(a))
+        # with w = p / sum p and a = (q - 1) ln(p / p_max). q - 1 is exact, and
+        # |a| < 0.25 * 1455, so expm1 cannot overflow
+        r = q - 1.0
+        log_max = math.log(p_max)
+        mass = _left_sum(values)
+        spread = _left_sum([v / mass * math.expm1(r * (math.log(v) - log_max))
+                            for v in values if v > 0.0])
+        result = _exp(-log_max - (math.log(mass) + math.log1p(spread)) / r)
     else:
         total = _left_sum([(v / p_max) ** q for v in values if v > 0.0])
         # the two factors are taken as one exponential: near q = 1 one of
         # them underflows while the other overflows
-        result = _exp((q * math.log(p_max) + math.log(total)) / (1.0 - q))
+        scaled = q * math.log(p_max)
+        if -math.inf < scaled < math.inf:
+            result = _exp((scaled + math.log(total)) / (1.0 - q))
+        else:  # a huge order: each term is divided by 1 - q before they are added
+            result = _exp(q / (1.0 - q) * math.log(p_max) + math.log(total) / (1.0 - q))
     return _finite("diversity", result)
 
 def exponential_entropy(p: Vector) -> float:
@@ -215,7 +232,7 @@ def _gini(values: list) -> float:
     return abs_diff / scale
 
 def index_summary(p: Vector, q_orders: Sequence[float],
-                  hill: "Vector | None" = None) -> IndexSummary:
+                  hill: Vector | None = None) -> IndexSummary:
     """Every index of p with one filtering of each vector and one entropy of p.
 
     The diversities are of `hill` at each order in q_orders, of p itself

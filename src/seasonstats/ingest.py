@@ -9,8 +9,6 @@ line-numbered errors), and one date rule, `_days`, reads every events date.
 One count rule, `_counts`, holds the counts of `CountMatrix` and of
 `stats.chi_square_uniform` to non-negative integers.
 """
-from __future__ import annotations
-
 import csv
 import io
 import operator
@@ -120,7 +118,7 @@ def _int_years(years: Iterable) -> tuple:
         raise DataError(f"years must be integers, got {years!r}") from None
 
 
-def _year_span(present: Iterable[int], years: "Sequence[int] | None") -> tuple:
+def _year_span(present: Iterable[int], years: Sequence[int] | None) -> tuple:
     """`years` sorted and deduplicated, by default every year from the first
     to the last in `present`; an empty range is refused, and `CountMatrix`
     refuses a gap."""
@@ -166,7 +164,7 @@ def _records(text: str, header: tuple):
     """The (line, fields) of each record of `text` past a header row naming
     `header`, read by `csv.reader` as a `newline=""` handle reads it: blank
     records are skipped, a record of any other width than the header's is
-    refused, and a csv.Error (field limit, NUL before 3.11) is a DataError.
+    refused, and a csv.Error (the field limit) is a DataError.
     `line` is the line the record ends on."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -185,15 +183,15 @@ def _records(text: str, header: tuple):
         raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
-def _split_events(text: str, journal: str) -> "Counter | None":
+def _split_events(text: str, journal: str) -> Counter | None:
     """The fast path of `parse_events`: `journal`'s tally of ((year, month),
     decision) pairs from the text split at its commas with `str.split`, or None
-    when this cannot vouch for the text (a quote, NUL or CR outside a CRLF, a
+    when this cannot vouch for the text (a quote or a CR outside a CRLF, a
     wrong header, a blank line, a wrong column count, a date field that is not
     exactly `YYYY-MM-DD`, a bad decision, a field longer than
     `csv.field_size_limit()`), for `csv.reader` to read it.
 
-    Without quotes, NUL and CR, `csv.reader` under the excel dialect ends a
+    Without quotes and CR, `csv.reader` under the excel dialect ends a
     record at each LF and splits it at every comma, and raises no `csv.Error`
     within the field limit; a CRLF ends a record as an LF does. The lines
     after the header are split in chunks of whole lines, about `_CHUNK`
@@ -211,7 +209,7 @@ def _split_events(text: str, journal: str) -> "Counter | None":
     field and a comma, finds its rows and captures their date and decision
     fields.
     """
-    if '"' in text or "\0" in text:
+    if '"' in text:
         return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -315,7 +313,7 @@ def parse_events(text: str, journal: str) -> list:
     return _tally(journal, Counter(events))
 
 
-def _matrices(rows: Sequence[tuple], years: "Sequence[int] | None", complete: bool) -> tuple:
+def _matrices(rows: Sequence[tuple], years: Sequence[int] | None, complete: bool) -> tuple:
     """The (submitted, accepted) pair over `years` (default: every year from the
     first row's to the last's; given years must be contiguous) from one
     journal's counts rows. A repeated month is refused; a month without a row
@@ -340,7 +338,7 @@ def _matrices(rows: Sequence[tuple], years: "Sequence[int] | None", complete: bo
             CountMatrix(years, tuple(tuple(c[1] for c in row) for row in grid), "accepted"))
 
 
-def aggregate(rows: Sequence[tuple], years: "Sequence[int] | None" = None) -> tuple:
+def aggregate(rows: Sequence[tuple], years: Sequence[int] | None = None) -> tuple:
     """The (submitted, accepted) pair over `years` (default: the first row's year
     to the last's; given years must be contiguous) from one journal's counts
     rows as `parse_events` returns them; a repeated month is refused, and a
@@ -381,7 +379,7 @@ def parse_counts(text: str) -> list:
 
 
 def matrices_from_counts(rows: Sequence[tuple], journal: str,
-                         years: "Sequence[int] | None" = None) -> tuple:
+                         years: Sequence[int] | None = None) -> tuple:
     """Build the (submitted, accepted) pair for one journal from counts rows.
 
     `years` defaults to every year from the journal's first row to its last;

@@ -5,8 +5,6 @@ built from month totals across years. Share columns sum to 1; the
 conditional table holds per-cell accepted/submitted ratios, which do not,
 and marks a month with no submissions as undefined (None).
 """
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Sequence
 
@@ -67,7 +65,7 @@ def conditional(submitted: CountMatrix, accepted: CountMatrix) -> MonthTable:
     return MonthTable(years, tuple(per_year), cumulated)
 
 
-def normalize(vector: Sequence["float | None"]) -> tuple:
+def normalize(vector: Sequence[float | None]) -> tuple:
     """Scale a non-negative vector to shares summing to 1, preserving None.
 
     The entries are checked as the indices check theirs, and summed as

@@ -20,8 +20,6 @@ where a distribution is required; conditional diversities use the raw
 rounded ratios). This keeps the index table arithmetically consistent
 with the share and conditional tables as quoted.
 """
-from __future__ import annotations
-
 import math
 import operator
 import sys
@@ -114,16 +112,16 @@ class _OptionFields(NamedTuple):
     q_orders: tuple
     precision: int
     t_null: float
-    z_sigma: "float | None"
-    z_null: "float | None"
+    z_sigma: float | None
+    z_null: float | None
 
 
 class AnalysisOptions(_OptionFields):
     __slots__ = ()
 
     def __new__(cls, q_orders: tuple = (1.0, 2.0), precision: int = 5,
-                t_null: float = 0.0833333, z_sigma: "float | None" = None,
-                z_null: "float | None" = None):
+                t_null: float = 0.0833333, z_sigma: float | None = None,
+                z_null: float | None = None):
         try:
             places = operator.index(precision)
         except TypeError:
@@ -232,7 +230,7 @@ def _index_column(vector, options, ratios: bool) -> list:
 
 
 def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
-                 options: "AnalysisOptions | None" = None,
+                 options: AnalysisOptions | None = None,
                  journal: str = "") -> AnalysisBundle:
     """Assemble every table for one journal's (submitted, accepted) pair."""
     if options is None:

@@ -39,8 +39,6 @@ of returning its truncated value. The gamma series does so near x = a
 once a passes about 4000 (chi-square with about 8000 degrees of freedom,
 far past the 11 a twelve-month column has).
 """
-from __future__ import annotations
-
 import math
 
 _EPS = 1e-15

@@ -23,8 +23,6 @@ and kept for the last eight lengths used (`_plan`). Each level builds its
 rotations from the roots on every transform, so a length keeps O(T)
 memory whatever its factors.
 """
-from __future__ import annotations
-
 import cmath
 import math
 from functools import lru_cache

@@ -4,8 +4,6 @@ Covers the footer rows of the report tables: mean, sample standard
 deviation, the mean +/- 2 sigma band, a chi-square goodness-of-fit test
 against the uniform month distribution, and one-sample t and z tests.
 """
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple, Sequence
@@ -18,7 +16,7 @@ from .special import chi_square_sf, normal_cdf, regularized_beta
 class TestResult(NamedTuple):
     statistic: float
     p_value: float
-    dof: "int | None"
+    dof: int | None
     hypothesized_value: float
     test_kind: str
 
@@ -106,7 +104,7 @@ def _standard_score(name: str, mean: float, k: float, spread: float, n: int) -> 
     return stat
 
 
-def _moments(x: Sequence["float | None"]) -> tuple:
+def _moments(x: Sequence[float | None]) -> tuple:
     """(n, mean, sample standard deviation) of the defined values of x."""
     values = _floats(x, "values", distribution=False)
     if len(values) < 2:
@@ -121,7 +119,7 @@ def _band(n: int, mean: float, std: float) -> DescriptiveStats:
     return DescriptiveStats(mean, std, low, high, n)
 
 
-def describe(x: Sequence["float | None"]) -> DescriptiveStats:
+def describe(x: Sequence[float | None]) -> DescriptiveStats:
     """Mean, sample (n-1) standard deviation, and the mean +/- 2 sigma band."""
     return _band(*_moments(x))
 
@@ -200,7 +198,7 @@ def _z_test(n: int, mean: float, k: float, sigma: float) -> TestResult:
     return TestResult(stat, min(p, 1.0), None, k, "z_one_sample")
 
 
-def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
+def t_one_sample(x: Sequence[float | None], k: float) -> TestResult:
     """One-sample t-test of the vector mean against a hypothesized value k.
 
     t = (mean - k) / (s / sqrt(n)) with the sample standard deviation;
@@ -209,7 +207,7 @@ def t_one_sample(x: Sequence["float | None"], k: float) -> TestResult:
     return _t_test(*_moments(x), k)
 
 
-def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestResult:
+def z_one_sample(x: Sequence[float | None], k: float, sigma: float) -> TestResult:
     """One-sample z-test with known standard deviation sigma."""
     _check_sigma(sigma)  # refused before the values are read
     values = _floats(x, "values", distribution=False)
@@ -218,9 +216,9 @@ def z_one_sample(x: Sequence["float | None"], k: float, sigma: float) -> TestRes
     return _z_test(len(values), _mean(values), k, sigma)
 
 
-def footer_statistics(x: Sequence["float | None"], t_null: float,
-                      z_null: "float | None" = None,
-                      z_sigma: "float | None" = None) -> tuple:
+def footer_statistics(x: Sequence[float | None], t_null: float,
+                      z_null: float | None = None,
+                      z_sigma: float | None = None) -> tuple:
     """(t test, z test or None, describe) of x from one pass over its values.
 
     Equal to (t_one_sample(x, t_null), z_one_sample(x, z_null, z_sigma) when

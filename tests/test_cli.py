@@ -4,10 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -342,7 +344,7 @@ def test_orders_sharing_a_label_exit_1(counts_csv, tmp_path, capsys):
 def test_infinite_and_large_orders(counts_csv, tmp_path):
     out = tmp_path / "qinf"
     code = _run(["--input", counts_csv, "--format", "counts", "--journal", "JSCS",
-                 "--q", "inf,5000", "--out", out])
+                 "--q", "inf,5000,1e308", "--out", out])
     assert code == 0
     t1 = _grid(out / "t1_submitted.csv")
     t5 = _grid(out / "t5_indices.csv")
@@ -352,6 +354,12 @@ def test_infinite_and_large_orders(counts_csv, tmp_path):
         max_share = max(float(row[j]) for row in t1[1:13])
         assert float(d_inf[j + 1]) == pytest.approx(1.0 / max_share, rel=1e-4)
         assert float(d_5000[j + 1]) == pytest.approx(float(d_inf[j + 1]), rel=1e-3)
+    # q ln p_max passes the float range at q = 1e308, yet D_q is finite:
+    # the Berger-Parker limit to the printed digits
+    for block in ("submitted", "accepted", "conditional"):
+        d_huge = next(row for row in t5 if row[:2] == [block, "D1e+308"])
+        assert all(math.isfinite(float(cell)) for cell in d_huge[2:])
+        assert d_huge[2:] == next(row for row in t5 if row[:2] == [block, "Dinf"])[2:]
 
 
 def test_bom_prefixed_input(tmp_path):
@@ -466,8 +474,8 @@ _SHAPES = {
 @pytest.mark.parametrize("input_format", sorted(_SHAPES))
 @pytest.mark.parametrize("problem", ["long header field", "long field", "NUL byte"])
 def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
-    # a field past csv.field_size_limit() and, before Python 3.11, a NUL byte
-    # stop the csv reader itself; either way the run ends in a message
+    # a field past csv.field_size_limit() stops the csv reader itself; a NUL
+    # byte is an ordinary character, so the field that holds it is bad data
     header, row = _SHAPES[input_format]
     long_field = "x" * (csv.field_size_limit() + 1)
     lines = {"long header field": [long_field + header, row],
@@ -484,6 +492,13 @@ def test_csv_reader_errors_exit_1(tmp_path, input_format, problem):
         line = 1 if problem == "long header field" else 3
         assert result.stderr == (f"analyze: unreadable CSV at line {line}: field larger "
                                  f"than field limit ({csv.field_size_limit()})\n")
+    elif input_format == "counts":
+        assert result.stderr == "analyze: non-integer count field at line 3\n"
+    else:
+        with pytest.raises(ValueError) as refused:
+            date.fromisoformat("2012-01-0\0")
+        assert result.stderr == (f"analyze: invalid date '2012-01-0\\x00' at line 3: "
+                                 f"{refused.value}\n")
     assert not (tmp_path / "x").exists()
 
 
@@ -719,7 +734,11 @@ def _cli_run(*args, out):
 
 
 def test_cli_import_leaves_out_decimal_json_and_datetime():
-    assert not _modules_added("import seasonstats.cli") & _LAZY_MODULES
+    added = _modules_added("import seasonstats.cli")
+    assert not added & _LAZY_MODULES
+    # and __future__: no module of the package postpones its annotations,
+    # which every supported Python evaluates at definition
+    assert "__future__" not in added
 
 
 @pytest.mark.parametrize("emit", ["csv", "md"])

@@ -1,9 +1,11 @@
 """Entropy, diversity, and inequality indices."""
 
 import math
+import sys
 from functools import reduce
 from operator import add
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -124,6 +126,70 @@ def test_diversity_non_increasing_in_q(p):
     values = [diversity(p, q) for q in orders]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-9
+
+
+def _hill_reference(p, q):
+    """(sum p_i^q)^(1/(1-q)) of the float entries p, in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        powers = mpmath.fsum([mpmath.mpf(v) ** q for v in p if v > 0])
+        return float(mpmath.exp(mpmath.log(powers) / (1 - q)))
+
+
+# p_max below 1/e, between 1/e and 1, between 1 and e, above e, and at the
+# ends of the float range. Where q ln p_max passes the float range D_q is
+# about 1 / p_max: diversity([0.01, 0.005], 1e308) raised, where it is 100,
+# and diversity([10, 5], 1e308) gave 0.0, where it is 0.1
+@pytest.mark.parametrize("p", [[0.01, 0.005], [0.3, 0.2, 0.2], [0.5, 0.25, 0.25], [0.9, 0.1],
+                               [2.0, 1.0], [2.5, 2.5, 0.5], [10.0, 5.0], [1e-300, 1e-301],
+                               [1e300, 1e299, 5e-324]])
+@pytest.mark.parametrize("q", [1e300, 1e305, 1e306, 1e307, 1e308, sys.float_info.max])
+def test_diversity_at_huge_orders_matches_mpmath(p, q):
+    value = diversity(p, q)
+    assert value == pytest.approx(_hill_reference(p, q), rel=1e-12)
+    assert index_summary([0.5, 0.5], (q,), hill=p).diversities == (value,)
+
+
+# within 0.25 of q = 1 the exponent's rounding errors are not divided by
+# 1 - q; before, [0.5, 0.5] at q = 1 + 1e-7 gave 2.0000000002
+@pytest.mark.parametrize("p", [[0.5, 0.5], [0.75, 0.125, 0.125], [0.5, 0.25, 0.25, 0.0],
+                               [10.0, 5.0], [3.0, 1e-310]])
+@pytest.mark.parametrize("q", [0.75 + 2**-52, 0.9, 1 - 1e-9, 1 - 2**-53, 1 + 2**-52, 1 + 1e-7,
+                               1.1, 1.25 - 2**-52])
+def test_diversity_near_order_one_matches_mpmath(p, q):
+    expected = _hill_reference(p, q)
+    if 0.0 < expected < math.inf:
+        assert diversity(p, q) == pytest.approx(expected, rel=1e-14)
+    elif expected == 0.0:
+        assert diversity(p, q) == 0.0
+    else:
+        with pytest.raises(ValueError, match="^diversity is not finite for this input$"):
+            diversity(p, q)
+
+
+@st.composite
+def _dyadic_distributions(draw):
+    """Distributions of up to 24 entries, some zero, whose float sum is exactly 1
+    in any order: multiples of a power of two 1 / 2**m that add up to 2**m."""
+    weights = draw(st.lists(st.integers(0, 2**20), max_size=23))
+    m = max(sum(weights), 1).bit_length()
+    weights.append(2**m - sum(weights))
+    return [w / 2**m for w in draw(st.permutations(weights))]
+
+
+@given(_dyadic_distributions(),
+       st.floats(0.0, math.inf) | st.floats(0.75, 1.25) | st.floats(1 - 1e-6, 1 + 1e-6)
+       | st.sampled_from((0.0, 1.0, 1e300, 1e308, sys.float_info.max)))
+@example([0.5, 0.5], 1 + 1e-7)
+@example([0.25, 0.5, 0.25], 1 - 2**-53)
+@example([0.375, 0.0, 0.625], 1e308)
+def test_diversity_lies_between_berger_parker_and_richness(p, q):
+    # 1/p_max <= D_q <= the number of positive entries holds exactly for a
+    # distribution that sums to 1, so the float sum is exactly 1 here; near
+    # q = 1, D_q of a float sum 1 + e moves by a factor (1 + e)^(1/(1 - q))
+    low, high = 1.0 / max(p), sum(v > 0.0 for v in p)
+    value = diversity(p, q)
+    assert low - 8 * math.ulp(low) <= value <= high + 8 * math.ulp(high)
 
 
 @given(distributions)

@@ -230,17 +230,17 @@ def _line_ends(lines):
 
 
 # the fast path finds a journal's rows with a regular expression built from
-# its label, so labels hold the characters a pattern reads otherwise
+# its label, so labels hold the characters a pattern reads otherwise; a NUL,
+# which csv.reader reads as an ordinary character, is one of them
 _JOURNALS = ("JSCS", "Entropy", "jscs", "Nature", "J.S", "JxS", "a+b", "(J)", "[J]", "J$",
-             "^J", "J|S", "J\\S")
+             "^J", "J|S", "J\\S", "J\0X")
 _GOOD_ROWS = st.tuples(
     _padded(_JOURNALS),
     _padded(("2012-01-15", "2013-02-28", "2016-02-29", "2014-12-31")),
     _padded(("accepted", "rejected", "Accepted", "REJECTED", "aCcEpTeD")),
 ).map(",".join)
-# valid rows that str.split reads otherwise than csv.reader, or that csv.reader
-# refuses: quotes, a comma inside quotes, NUL (refused before Python 3.11)
-# and a line end
+# valid rows that str.split reads otherwise than csv.reader: quotes, a comma
+# inside quotes, a quoted NUL and a line end
 _CSV_ROWS = _line_ends(st.tuples(
     _quoted(_JOURNALS + ("J,X", "N\0L")).flatmap(lambda v: _padded((v,))),
     _padded(("2012-01-15", "2014-12-31")).flatmap(lambda v: _quoted((v,))),
@@ -292,7 +292,8 @@ def _parse_text(text, journal):
     return results.pop()
 
 
-# a CR or LF inside a line that strip() removes from a field; NUL; lines
+# a CR or LF inside a line that strip() removes from a field; an unquoted NUL,
+# which the split reads as csv.reader does; lines
 # that end with CRLF but for the last, which ends with CR unless the LF
 # after the body follows it
 @example(["JSCS,2012-01-15,accepted\r", "JSCS,2012-02-15,rejected\r"], [], "JSCS",
@@ -300,6 +301,8 @@ def _parse_text(text, journal):
 @example(["JSCS\r,2012-01-15,accepted"], [], "JSCS", _HEADER, None)
 @example(["JSCS,2012-01-15\n,accepted"], [], "JSCS", _HEADER, None)
 @example(["N\0L,2012-01-15,accepted"], [], "N\0L", _HEADER, None)
+@example(["J\0X,2012-01-15,accepted", "JSCS,2012-02-15,rejected", "J\0X,2012-03-15,Rejected"],
+         [], "J\0X", _HEADER, None)
 # two 2-field lines, which split at their commas into the three fields of one
 # row; lines of one and five fields; a blank line; the header alone; two LFs
 # at the end
@@ -395,6 +398,11 @@ def test_parse_events_splits_clean_text_without_csv(monkeypatch):
               text.replace("-15,", "-15\t,").replace(",2016-02-29,", ", 2016-02-29  ,"))
     for stream in padded:
         assert parse_events(stream, "JSCS") == expected
+    # an unquoted NUL in a label is an ordinary character to csv.reader and
+    # to the split alike
+    nul = text.replace("\nEntropy,", "\nJ\0X,")
+    nul_expected = _tally_rows("J\0X", _parse_all_then_filter(nul, "J\0X"))
+    assert sum(row[3] for row in nul_expected) == 501
 
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader called")
@@ -406,6 +414,8 @@ def test_parse_events_splits_clean_text_without_csv(monkeypatch):
             patched.setattr(ingest, "_CHUNK", size)
             for stream in (text, text[:-1], text.replace("\n", "\r\n")):
                 assert parse_events(stream, "JSCS") == expected
+            assert parse_events(nul, "JSCS") == expected
+            assert parse_events(nul, "J\0X") == nul_expected
         quoted = text.replace("\nJSCS,", '\n"JSCS",', 1)
         lone_cr = text.replace("\n", "\r\n").replace("\r\n", "\r", 1)
         for stream in (quoted, lone_cr, *padded):

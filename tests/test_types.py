@@ -1,6 +1,7 @@
 """The value types: immutable named tuples, two of which check their fields."""
 
 import re
+import typing
 
 import pytest
 
@@ -63,3 +64,16 @@ def test_result_types_are_named_tuples(jscs_bundle):
     # imported by a test module under its own name, pytest would collect it
     assert seasonstats.TestResult._fields == (
         "statistic", "p_value", "dof", "hypothesized_value", "test_kind")
+
+
+@pytest.mark.parametrize("cls", [seasonstats.TestResult, DescriptiveStats, CountMatrix,
+                                 MonthTable, SpectralPeak, AnalysisOptions, AnalysisBundle,
+                                 NamedDocument])
+def test_record_field_types_are_evaluated(cls):
+    # a field type written as a string would reach typing as a ForwardRef;
+    # CountMatrix and AnalysisOptions take their fields from a named-tuple base
+    types = {}
+    for base in cls.__mro__[:cls.__mro__.index(tuple)]:
+        types = {**base.__annotations__, **types}
+    assert tuple(types) == cls._fields
+    assert not [kind for kind in types.values() if isinstance(kind, (str, typing.ForwardRef))]
