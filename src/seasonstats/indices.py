@@ -105,10 +105,10 @@ def diversity(p: Vector, q: float) -> float:
 
     For q != 1 this is (sum p_i^q)^(1/(1-q)), evaluated in the form scaled
     by the largest entry, p_max^(q/(1-q)) (sum (p_i/p_max)^q)^(1/(1-q)), so
-    that large q neither underflows nor divides by zero; where q ln p_max
-    passes the float range, each term of the exponent is divided by 1 - q
-    before they are added. Within 0.25 of q = 1 it is evaluated through
-    expm1 and log1p, so that 1 - q divides no rounding error. q = 1 is
+    that large q neither underflows nor divides by zero, and with each term
+    of the exponent divided by 1 - q, so that it is finite at every finite
+    order. Within 0.25 of q = 1 it is evaluated through expm1 and log1p, so
+    that 1 - q divides no rounding error. q = 1 is
     dispatched to exp(entropy) and q = inf to the Berger-Parker limit
     1/p_max rather than numeric limits. Raw (unnormalized) vectors are
     accepted; with q = 1 that yields the exponential of the raw conditional
@@ -153,13 +153,10 @@ def _diversity(values: list, q: float, h: float | None = None) -> float:
         result = _exp(-log_max - (math.log(mass) + math.log1p(spread)) / r)
     else:
         total = _left_sum([(v / p_max) ** q for v in values if v > 0.0])
-        # the two factors are taken as one exponential: near q = 1 one of
-        # them underflows while the other overflows
-        scaled = q * math.log(p_max)
-        if -math.inf < scaled < math.inf:
-            result = _exp((scaled + math.log(total)) / (1.0 - q))
-        else:  # a huge order: each term is divided by 1 - q before they are added
-            result = _exp(q / (1.0 - q) * math.log(p_max) + math.log(total) / (1.0 - q))
+        # the two factors are taken as one exponential, as one of them may
+        # underflow while the other overflows; each term is divided by 1 - q
+        # before they are added, as q ln p_max passes the float range at a huge q
+        result = _exp(q / (1.0 - q) * math.log(p_max) + math.log(total) / (1.0 - q))
     return _finite("diversity", result)
 
 def exponential_entropy(p: Vector) -> float:
