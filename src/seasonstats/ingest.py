@@ -44,7 +44,6 @@ def _check_type(value, cls) -> None:
 class _CountFields(NamedTuple):
     years: tuple
     counts: tuple  # 12 rows, each a tuple with one entry per year
-    outcome: str  # "submitted" or "accepted"
 
 
 class CountMatrix(_CountFields):
@@ -54,7 +53,7 @@ class CountMatrix(_CountFields):
 
     __slots__ = ()
 
-    def __new__(cls, years: tuple, counts: tuple, outcome: str):
+    def __new__(cls, years: tuple, counts: tuple):
         if len(counts) != MONTHS_PER_YEAR:
             raise DataError("count matrix must have 12 month rows")
         years = _int_years(years)
@@ -70,9 +69,7 @@ class CountMatrix(_CountFields):
             if len(row) != len(years):
                 raise DataError("count row width does not match year list")
             _counts(row)
-        if outcome not in ("submitted", "accepted"):
-            raise DataError(f"unknown outcome {outcome!r}")
-        return super().__new__(cls, years, counts, outcome)
+        return super().__new__(cls, years, counts)
 
     @classmethod
     def _make(cls, iterable):
@@ -334,8 +331,8 @@ def _matrices(rows: Sequence[tuple], years: Sequence[int] | None, complete: bool
                     raise DataError(f"missing month {y}-{m:02d} for journal {rows[0][0]!r}")
     grid = [[cells.get((year, month), (0, 0)) for year in years]
             for month in range(1, MONTHS_PER_YEAR + 1)]
-    return (CountMatrix(years, tuple(tuple(c[0] for c in row) for row in grid), "submitted"),
-            CountMatrix(years, tuple(tuple(c[1] for c in row) for row in grid), "accepted"))
+    return (CountMatrix(years, tuple(tuple(c[0] for c in row) for row in grid)),
+            CountMatrix(years, tuple(tuple(c[1] for c in row) for row in grid)))
 
 
 def aggregate(rows: Sequence[tuple], years: Sequence[int] | None = None) -> tuple:

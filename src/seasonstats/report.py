@@ -10,8 +10,8 @@ value) pair of its column; `render` lays the rows out as CSV, Markdown or
 JSON at `AnalysisOptions.precision` and computes no statistics.
 
 One kernel, `_rounded`, rounds every printed or quoted number, a row or
-column at a time: a grid row, a JSON row, an index-block input column per
-call.
+column at a time: a document row, in every format, or an index-block
+input column per call.
 
 Index-block inputs are taken from the tables at their quoted precision:
 shares at the configured precision, acceptance ratios at the four decimal
@@ -292,23 +292,20 @@ def build_bundle(submitted: CountMatrix, accepted: CountMatrix,
     )
 
 
-def _json_number(text: str) -> str:
-    """repr(float(text)) for the fixed-point text of _rounded.
+def _json_number(text: str | None) -> str:
+    """repr(float(text)) for the fixed-point text of _rounded, null for None.
 
     Stripped of its trailing zeros, text of at most 16 characters has at
     most 15 significant digits and an integer part below 10**15, so the
     float it reads as gives back the same digits, and float.__repr__ writes
     them in fixed point from 1e-4 on. Other text takes the round trip.
     """
+    if text is None:
+        return "null"
     short = text.rstrip("0")
     if len(short) > 16 or short.startswith(("0.0000", "-0.0000")):
         return repr(float(text))
     return short + "0" if short[-1] == "." else short
-
-def _json_numbers(values, places) -> list:
-    """The JSON text of each value rounded halves away from zero, null for None."""
-    return ["null" if text is None else _json_number(text)
-            for text in _rounded(values, places, ROUND_HALF_UP)]
 
 
 _PEAK_COLUMNS = ("frequency", "period_months", "amplitude")
@@ -350,8 +347,6 @@ def _layouts(bundle) -> dict:
 
 
 def _csv_text(header, rows) -> str:
-    # no cell needs quoting: labels, years, `_rounded` text and NA hold no
-    # comma, quote or line end, and the journal label is not in a CSV document
     return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 def _md_text(header, rows) -> str:
@@ -363,13 +358,6 @@ def _md_text(header, rows) -> str:
     parts.extend(map(line, rows))
     return "\n".join(parts) + "\n"
 
-def _grid(layout: _Layout, places):
-    header = [*layout.keys, *layout.value_names]
-    rows = [[*map(str, keys), *["NA" if text is None else text
-                                for text in _rounded(values, places, ROUND_HALF_UP)]]
-            for keys, values in layout.rows]
-    return header, rows
-
 
 def _json_array(items, depth: int, brackets: str = "[]") -> str:
     """json.dumps(indent=2)'s text, at nesting `depth`, of a non-empty array
@@ -377,52 +365,47 @@ def _json_array(items, depth: int, brackets: str = "[]") -> str:
     inner = "\n" + "  " * (depth + 1)
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
-def _json_object(pairs, quote, depth: int) -> str:
-    """The same of a non-empty object of (key, JSON text) pairs, each key
-    written by `quote` (json's encode_basestring_ascii).
+def _json_object(pairs, depth: int) -> str:
+    """The same of a non-empty object of (key, JSON text) pairs.
 
     json writes indented text with its pure-Python encoder, as its C encoder
     writes compact text only; the writers below hand this the text directly.
     """
-    return _json_array([quote(key) + ": " + text for key, text in pairs], depth, "{}")
+    return _json_array(['"' + key + '": ' + text for key, text in pairs], depth, "{}")
 
 
-def _column_objects(rows, places, quote, depth: int) -> list:
-    """Per value column of the layout rows, the JSON object at `depth` of
-    each row's last key and its number in that column."""
+def _column_objects(rows, depth: int) -> list:
+    """Per value column of the (row keys, JSON texts) rows, the JSON object
+    at `depth` of each row's last key and its text in that column."""
     names = [keys[-1] for keys, _ in rows]
-    columns = zip(*[_json_numbers(values, places) for _, values in rows])
-    return [_json_object(zip(names, texts), quote, depth) for texts in columns]
+    return [_json_object(zip(names, texts), depth) for texts in zip(*[t for _, t in rows])]
 
-def _json_columns(layout: _Layout, places, quote) -> str:
+def _json_columns(value_names, rows) -> str:
     """t1-t4: per column, its "months" rows and its "footer" rows."""
-    months = _column_objects(layout.rows[:MONTHS_PER_YEAR], places, quote, 3)
+    months = _column_objects(rows[:MONTHS_PER_YEAR], 3)
     # JSON footers list z and z_p last, after the band rows, where the grids
     # put them after t_p; the JSON bytes are part of the contract
-    footers = _column_objects(sorted(layout.rows[MONTHS_PER_YEAR:],
-                                     key=lambda row: row[0][0] in ("z", "z_p")),
-                              places, quote, 3)
-    return _json_object([(label, _json_object([("months", m), ("footer", f)], quote, 2))
-                         for label, m, f in zip(layout.value_names, months, footers)], quote, 1)
+    footers = _column_objects(sorted(rows[MONTHS_PER_YEAR:],
+                                     key=lambda row: row[0][0] in ("z", "z_p")), 3)
+    return _json_object([(label, _json_object([("months", m), ("footer", f)], 2))
+                         for label, m, f in zip(value_names, months, footers)], 1)
 
-def _json_blocks(layout: _Layout, places, quote) -> str:
+def _json_blocks(value_names, rows) -> str:
     """t5: per block, its "columns" of the block's index rows."""
     blocks = []
-    for block, rows in groupby(layout.rows, key=lambda row: row[0][0]):
-        columns = zip(layout.value_names, _column_objects(list(rows), places, quote, 4))
-        blocks.append((block, _json_object([("columns", _json_object(columns, quote, 3))],
-                                           quote, 2)))
-    return _json_object(blocks, quote, 1)
+    for block, block_rows in groupby(rows, key=lambda row: row[0][0]):
+        columns = zip(value_names, _column_objects(list(block_rows), 4))
+        blocks.append((block, _json_object([("columns", _json_object(columns, 3))], 2)))
+    return _json_object(blocks, 1)
 
-def _json_series(layout: _Layout, places, quote) -> str:
+def _json_series(value_names, rows) -> str:
     """t6: per series, its peaks in rank order."""
     series = []
-    for name, rows in groupby(layout.rows, key=lambda row: row[0][0]):
-        peaks = [_json_object([("rank", repr(rank)),
-                               *zip(layout.value_names, _json_numbers(values, places))], quote, 3)
-                 for (_, rank), values in rows]
+    for name, series_rows in groupby(rows, key=lambda row: row[0][0]):
+        peaks = [_json_object([("rank", repr(rank)), *zip(value_names, texts)], 3)
+                 for (_, rank), texts in series_rows]
         series.append((name, _json_array(peaks, 2)))
-    return _json_object(series, quote, 1)
+    return _json_object(series, 1)
 
 # each layout's JSON body: its key in the document and its writer
 _JSON_BODIES = {("row",): ("columns", _json_columns), ("block", "index"): ("blocks", _json_blocks),
@@ -430,7 +413,15 @@ _JSON_BODIES = {("row",): ("columns", _json_columns), ("block", "index"): ("bloc
 
 
 def render(bundle: AnalysisBundle, format: str) -> list:
-    """Render the six documents in the requested format at the bundle's precision."""
+    """Render the six documents in the requested format at the bundle's precision.
+
+    Each row's values are rounded once, halves away from zero, and that text
+    is written as is in CSV and Markdown (NA for None) and as a JSON number
+    (null for None). No label needs quoting or escaping in any format: month
+    names, footer and index row names, D{q:g}, years, [y0-y1], block, series
+    and peak names and NA hold no comma, quote, backslash, pipe, line end or
+    non-ASCII character. Only the JSON journal value is escaped.
+    """
     if format not in FORMATS:
         raise DataError(f"unknown format {format!r}, expected one of {', '.join(FORMATS)}")
     _check_type(bundle, AnalysisBundle)
@@ -439,16 +430,21 @@ def render(bundle: AnalysisBundle, format: str) -> list:
     places = bundle.options.precision
 
     if format == "json":
-        from json.encoder import encode_basestring_ascii as quote
-        head = [("journal", quote(bundle.journal)),
+        from json.encoder import encode_basestring_ascii
+        head = [("journal", encode_basestring_ascii(bundle.journal)),
                 ("years", _json_array(map(repr, bundle.years), 1)), ("precision", repr(places))]
     documents = []
     for name, layout in _layouts(bundle).items():
+        rows = [(keys, _rounded(values, places, ROUND_HALF_UP)) for keys, values in layout.rows]
         if format == "json":
             key, write = _JSON_BODIES[layout.keys]
-            text = _json_object([("name", quote(name)), *head,
-                                 (key, write(layout, places, quote))], quote, 0) + "\n"
+            body = write(layout.value_names,
+                         [(keys, list(map(_json_number, texts))) for keys, texts in rows])
+            text = _json_object([("name", '"' + name + '"'), *head, (key, body)], 0) + "\n"
         else:
-            text = (_csv_text if format == "csv" else _md_text)(*_grid(layout, places))
+            grid = [[*map(str, keys), *["NA" if text is None else text for text in texts]]
+                    for keys, texts in rows]
+            text = (_csv_text if format == "csv" else _md_text)(
+                [*layout.keys, *layout.value_names], grid)
         documents.append(NamedDocument(name, text))
     return documents

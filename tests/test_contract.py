@@ -22,8 +22,8 @@ from seasonstats import AnalysisOptions, CountMatrix, build_bundle, indices, spe
 
 _SCALARS = st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
                             1e-310, 2**64, 10**400, None))
-_MATRIX = CountMatrix((2012,), tuple((m + 1,) for m in range(12)), "submitted")
-_ACCEPTED = CountMatrix((2012,), tuple((m // 2,) for m in range(12)), "accepted")
+_MATRIX = CountMatrix((2012,), tuple((m + 1,) for m in range(12)))
+_ACCEPTED = CountMatrix((2012,), tuple((m // 2,) for m in range(12)))
 _WELL_TYPED = st.sampled_from(("csv", "JSCS", _MATRIX, AnalysisOptions(),
                                build_bundle(_MATRIX, _ACCEPTED, journal="JSCS")))
 _HOSTILE = _SCALARS | st.lists(_SCALARS, max_size=4) | _WELL_TYPED

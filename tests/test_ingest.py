@@ -208,8 +208,8 @@ def _count_matrices(events, years):
             acc[submitted_at.month - 1][j] += decision == "accepted"
     if not any(map(any, sub)):
         raise DataError(f"empty selection: no events in {years[0]}-{years[-1]}")
-    return (CountMatrix(tuple(years), tuple(map(tuple, sub)), "submitted"),
-            CountMatrix(tuple(years), tuple(map(tuple, acc)), "accepted"))
+    return (CountMatrix(tuple(years), tuple(map(tuple, sub))),
+            CountMatrix(tuple(years), tuple(map(tuple, acc))))
 
 
 def _padded(values):
@@ -497,14 +497,12 @@ def _assert_same_error(text, pattern):
 
 def test_count_matrix_validation():
     with pytest.raises(DataError, match="12 month rows"):
-        CountMatrix((2012,), ((1,),) * 11, "submitted")
+        CountMatrix((2012,), ((1,),) * 11)
     with pytest.raises(DataError, match="non-negative"):
-        CountMatrix((2012,), ((-1,),) + ((0,),) * 11, "submitted")
+        CountMatrix((2012,), ((-1,),) + ((0,),) * 11)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(DataError, match="^counts must be non-negative integers$"):
-            CountMatrix((2012,), ((bad,),) + ((0,),) * 11, "submitted")
-    with pytest.raises(DataError, match="outcome"):
-        CountMatrix((2012,), ((0,),) * 12, "published")
+            CountMatrix((2012,), ((bad,),) + ((0,),) * 11)
 
 
 class _Year:
@@ -525,26 +523,25 @@ def test_count_matrix_years_are_ints_that_run_up_by_one():
                            ((2014, 2012), "^years must run up by one, got 2012 after 2014$"),
                            ((2012, 2014), "^years 2012-2014 are not contiguous: 2013 is missing$")):
         with pytest.raises(DataError, match=message):
-            CountMatrix(years, counts, "submitted")
+            CountMatrix(years, counts)
     for years in ((2012.5,), (2012.0,), ("2012",), (None,)):
         with pytest.raises(DataError, match=r"^years must be integers, got \("):
-            CountMatrix(years, ((1,),) * 12, "submitted")
+            CountMatrix(years, ((1,),) * 12)
         with pytest.raises(DataError, match=r"^years must be integers, got \("):
             aggregate([("J", 2012, 1, 1, 1)], years)
     # an integer that is not an int is kept as a plain int, which json writes
-    submitted = CountMatrix([_Year(2012), _Year(2013)], counts, "submitted")
+    submitted = CountMatrix([_Year(2012), _Year(2013)], counts)
     assert submitted.years == (2012, 2013)
     assert all(type(year) is int for year in submitted.years)
-    accepted = CountMatrix((2012, 2013), tuple((m // 2 + 1, m // 3 + 1) for m in range(12)),
-                           "accepted")
-    plain = build_bundle(CountMatrix((2012, 2013), counts, "submitted"), accepted)
+    accepted = CountMatrix((2012, 2013), tuple((m // 2 + 1, m // 3 + 1) for m in range(12)))
+    plain = build_bundle(CountMatrix((2012, 2013), counts), accepted)
     assert render(build_bundle(submitted, accepted), "json") == render(plain, "json")
     assert aggregate([("J", 2012, 1, 1, 1)], [_Year(2012)])[0].years == (2012,)
 
 
 def test_count_matrix_series_is_chronological():
     counts = tuple((m + 1, 100 + m + 1) for m in range(12))
-    matrix = CountMatrix((2012, 2013), counts, "submitted")
+    matrix = CountMatrix((2012, 2013), counts)
     series = matrix.series()
     assert series[:3] == (1, 2, 3)
     assert series[12:15] == (101, 102, 103)
@@ -681,12 +678,12 @@ def test_non_contiguous_years_refused(journal_counts_rows):
 def test_pair_validation_rejects_excess_acceptance():
     # conditional, and so build_bundle, refuses a pair that parse_counts would not
     # have built; the first bad cell in month-major order is named
-    submitted = CountMatrix((2012, 2013), ((10, 10),) * 12, "submitted")
+    submitted = CountMatrix((2012, 2013), ((10, 10),) * 12)
     counts = [[1, 1] for _ in range(12)]
     counts[0][1] = 11  # month 1, year 2013
     counts[1][0] = 11  # month 2, year 2012
-    bad = CountMatrix((2012, 2013), tuple(map(tuple, counts)), "accepted")
-    other_years = CountMatrix((2012,), ((1,),) * 12, "accepted")
+    bad = CountMatrix((2012, 2013), tuple(map(tuple, counts)))
+    other_years = CountMatrix((2012,), ((1,),) * 12)
     for check in (conditional, build_bundle):
         with pytest.raises(DataError, match="^accepted exceeds submitted in month 1, year 2013$"):
             check(submitted, bad)

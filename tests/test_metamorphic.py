@@ -6,17 +6,27 @@ and the change it must make, or not make, in the output.
   chi-square statistic (and its p-value) and the t6 amplitudes scale, by k.
 - Shuffled events: the events of a journal, in any order and mixed with
   rows of other journals, give the documents of the counts they stand for.
+- Renamed journal: a golden set's journal under another label, as counts
+  or as events, gives the golden documents; only JSON's "journal" line
+  changes, to the label as json.dumps writes it.
 """
 
+import csv
+import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from seasonstats.ingest import aggregate, matrices_from_counts, parse_events
-from seasonstats.report import AnalysisOptions, build_bundle, render
+from seasonstats import cli
+from seasonstats.ingest import aggregate, matrices_from_counts, parse_counts, parse_events
+from seasonstats.report import FORMATS, AnalysisOptions, build_bundle, render
 
-GOLDEN = Path(__file__).resolve().parent.parent / "data" / "golden"
+import refvalues as rv
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = DATA / "golden"
 JOURNALS = {"JSCS": "jscs", "Entropy": "entropy"}
 # the q = 0 row and the z footers besides the default rows
 OPTIONS = AnalysisOptions(q_orders=(0.0, 1.0, 2.0), precision=7, z_sigma=0.03,
@@ -98,3 +108,54 @@ def test_shuffled_events_mixed_with_other_journals_give_the_same_documents(
         assert _documents(text, journal) == base
     # and the events in their own order give the counts' documents
     assert base == golden
+
+
+# one label the writers must quote and csv.reader reads back, and one of
+# bare regex metacharacters that the split path reads
+RENAMED_JOURNALS = ('a"b,c\\d|\u00e9', "J.+[x]")
+# a journal that the pattern J.+[x], matches, were the label not escaped
+DECOY = "Jzzx"
+
+
+def _csv_line(row):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(row)
+    return out.getvalue()
+
+
+def _renamed_inputs(rows, label, events_from_counts):
+    """{"counts": text, "events": text} of `rows` under `label`, mixed with
+    the events or counts of every other month under DECOY."""
+    counts = [(label, *row[1:]) for row in rows] + [(DECOY, *row[1:]) for row in rows[::2]]
+    header, *lines = events_from_counts(rows).splitlines()
+    journal = _csv_line([label]).rstrip("\n")
+    events = [journal + line[line.index(","):] for line in lines]
+    _, *decoys = events_from_counts(rows[::2]).splitlines()
+    mixed = events + [DECOY + line[line.index(","):] for line in decoys]
+    random.Random(label).shuffle(mixed)
+    return {"counts": "".join(map(_csv_line, [("journal", "year", "month", "submitted",
+                                               "accepted"), *counts])),
+            "events": "\n".join([header, *mixed]) + "\n"}
+
+
+@pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
+def test_renamed_journal_changes_only_the_json_journal_line(events_from_counts, run):
+    input_name, journal, extra = rv.GOLDEN_RUNS[run]
+    rows = [row for row in parse_counts((DATA / input_name).read_text(encoding="utf-8-sig"))
+            if row[0] == journal]
+    golden_line = f'  "journal": {json.dumps(journal)},\n'
+    for label in RENAMED_JOURNALS:
+        for kind, text in _renamed_inputs(rows, label, events_from_counts).items():
+            for emit in FORMATS:
+                warnings = []
+                args = cli.build_parser().parse_args(
+                    ["--input", "-", "--format", kind, "--journal", label, "--emit", emit,
+                     *extra])
+                for doc in cli._analyze(text, args, warnings.append):
+                    golden = (GOLDEN / run / f"{doc.name}.{emit}").read_text(encoding="utf-8")
+                    if emit == "json":
+                        assert golden.count(golden_line) == 1
+                        golden = golden.replace(golden_line,
+                                                f'  "journal": {json.dumps(label)},\n')
+                    assert doc.text == golden, (label, kind, doc.name, emit)
+                assert warnings == []

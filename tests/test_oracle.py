@@ -226,8 +226,8 @@ def test_bundle_matches_numpy_scipy_oracle(pair, q_orders, precision, z):
                               z_sigma=z_sigma, z_null=z_null)
 
     def bundle():
-        return build_bundle(CountMatrix(years, tuple(map(tuple, submitted)), "submitted"),
-                            CountMatrix(years, tuple(map(tuple, accepted)), "accepted"),
+        return build_bundle(CountMatrix(years, tuple(map(tuple, submitted))),
+                            CountMatrix(years, tuple(map(tuple, accepted))),
                             options, journal="J")
 
     try:

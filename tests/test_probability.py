@@ -11,11 +11,11 @@ from seasonstats.probability import conditional, normalize, shares
 import refvalues as rv
 
 
-def _matrix(columns, outcome="submitted", years=None):
+def _matrix(columns, years=None):
     width = len(columns)
     years = years or tuple(range(2012, 2012 + width))
     counts = tuple(tuple(columns[j][m] for j in range(width)) for m in range(12))
-    return CountMatrix(years, counts, outcome)
+    return CountMatrix(years, counts)
 
 
 def test_shares_match_reference_tables(jscs_matrices, ent_matrices):
@@ -65,7 +65,7 @@ def test_conditional_zero_submissions_is_none():
     acc = [[5] * 12]
     sub[0][3] = 0
     acc[0][3] = 0
-    cond = conditional(_matrix(sub), _matrix(acc, "accepted"))
+    cond = conditional(_matrix(sub), _matrix(acc))
     assert cond.per_year[3][0] is None
     assert cond.cumulated[3] is None
 
@@ -74,14 +74,14 @@ def test_conditional_rejects_accepted_over_submitted():
     sub = [[2] * 12]
     acc = [[3] * 12]
     with pytest.raises(DataError, match="exceeds submitted"):
-        conditional(_matrix(sub), _matrix(acc, "accepted"))
+        conditional(_matrix(sub), _matrix(acc))
 
 
 def test_conditional_cumulated_uses_summed_counts():
     # cumulated ratio is sum(accepted)/sum(submitted), not the mean of ratios
     sub = [[10] * 12, [100] * 12]
     acc = [[1] * 12, [90] * 12]
-    cond = conditional(_matrix(sub), _matrix(acc, "accepted"))
+    cond = conditional(_matrix(sub), _matrix(acc))
     assert cond.cumulated[0] == pytest.approx(91 / 110)
     assert cond.cumulated[0] != pytest.approx((0.1 + 0.9) / 2)
 
@@ -113,7 +113,7 @@ def test_normalize_preserves_positions(vector):
        st.lists(st.integers(0, 300), min_size=12, max_size=12))
 def test_conditional_cells_bounded(sub_counts, acc_counts):
     acc_counts = [min(a, s) for a, s in zip(acc_counts, sub_counts)]
-    cond = conditional(_matrix([sub_counts]), _matrix([acc_counts], "accepted"))
+    cond = conditional(_matrix([sub_counts]), _matrix([acc_counts]))
     for row in (*cond.per_year, cond.cumulated):
         for cell in row:
             assert cell is None or 0.0 <= cell <= 1.0

@@ -447,8 +447,8 @@ def test_undefined_cells_render_na_and_null():
     acc_col = [5, 4] * 6  # varied so the footer tests stay non-degenerate
     sub_col[7] = 0
     acc_col[7] = 0
-    sub = CountMatrix((2020,), tuple((v,) for v in sub_col), "submitted")
-    acc = CountMatrix((2020,), tuple((v,) for v in acc_col), "accepted")
+    sub = CountMatrix((2020,), tuple((v,) for v in sub_col))
+    acc = CountMatrix((2020,), tuple((v,) for v in acc_col))
     bundle = build_bundle(sub, acc, journal="demo")
     grid = _parse_csv(_doc(render(bundle, "csv"), "t3_conditional").text)
     assert grid[8][1] == "NA"  # August
@@ -463,8 +463,8 @@ def test_undefined_cells_render_na_and_null():
 def test_footer_errors_name_table_and_column():
     # equal monthly counts give a constant share column, which the t test
     # refuses before the z test and the band are reached
-    sub = CountMatrix((2020,), ((10,),) * 12, "submitted")
-    acc = CountMatrix((2020,), ((5,), (4,)) * 6, "accepted")
+    sub = CountMatrix((2020,), ((10,),) * 12)
+    acc = CountMatrix((2020,), ((5,), (4,)) * 6)
     for options in (AnalysisOptions(), AnalysisOptions(z_sigma=5e-324, z_null=0.08)):
         with pytest.raises(DataError, match=r"^t1_submitted, column 2020: degenerate sample"):
             build_bundle(sub, acc, options)
@@ -527,8 +527,7 @@ def test_tested_footers_equal_separate_calls(cells, t_null, z):
     z_null, z_sigma = z if z is not None else (None, None)
     options = AnalysisOptions(t_null=t_null, z_null=z_null, z_sigma=z_sigma)
     try:
-        bundle = build_bundle(CountMatrix(years, sub, "submitted"),
-                              CountMatrix(years, acc, "accepted"), options)
+        bundle = build_bundle(CountMatrix(years, sub), CountMatrix(years, acc), options)
     except DataError:
         assume(False)  # an empty year or a constant column
     for table, footers in (("submitted", bundle.submitted_footers),
@@ -613,7 +612,7 @@ _JSON_NUMBER_INPUTS = st.one_of(
 def test_json_number_is_repr_of_rounded_text(x, places):
     # JSON numbers are the rounded CSV/Markdown text in float.__repr__ form
     (text,) = report._rounded([x], places, ROUND_HALF_UP)
-    assert report._json_numbers([x, None], places) == [repr(float(text)), "null"]
+    assert [report._json_number(text), report._json_number(None)] == [repr(float(text)), "null"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -641,14 +640,17 @@ def _golden_bundle(run, *flags):
 def test_json_documents_are_json_dumps_of_their_numbers(run, precision, journal):
     # numbers written from their text and quoted strings give the bytes
     # json.dumps gives for the parsed document: at each golden run's options
-    # (edge's NA cells as null, z rows last, precision 7) and at precision 12
-    bundle = _golden_bundle(run)._replace(journal=journal)
-    if precision is not None:
-        bundle = bundle._replace(options=bundle.options._replace(precision=precision))
-    for doc in render(bundle, "json"):
-        body = json.loads(doc.text)
-        assert body["journal"] == journal
-        assert doc.text == json.dumps(body, indent=2) + "\n"
+    # (edge's NA cells as null, z rows last, precision 7) and at precision 12.
+    # The added q orders give long and exponent-form D labels, so the
+    # unescaped keys cover every kind of label.
+    for flags in ((), ("--q", "0.1234567,inf,1e6,1e308")):
+        bundle = _golden_bundle(run, *flags)._replace(journal=journal)
+        if precision is not None:
+            bundle = bundle._replace(options=bundle.options._replace(precision=precision))
+        for doc in render(bundle, "json"):
+            body = json.loads(doc.text)
+            assert body["journal"] == journal
+            assert doc.text == json.dumps(body, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
@@ -701,16 +703,22 @@ def test_golden_json_holds_csv_cells(run):
 
 @pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
 def test_csv_documents_equal_csv_writer_text(run):
-    # `_csv_text` joins cells with commas, as no label, year, `_rounded` text
-    # or NA needs quoting; csv.writer is the reference for the same rows. The
-    # q orders add long labels, and the t null 1e25 Decimal-fallback cells.
+    # CSV cells are joined with commas, as no label, year, `_rounded` text or
+    # NA needs quoting; csv.writer is the reference for the same rows, built
+    # here from the raw layouts. The q orders add long labels, and the t null
+    # 1e25 Decimal-fallback cells.
     variants = [("--precision", str(places)) for places in range(1, 13)]
     variants += [("--q", "0.1234567,inf,1e6"), ("--t-null", "1e25")]
     for flags in variants:
         bundle = _golden_bundle(run, *flags)
+        places = bundle.options.precision
         layouts = report._layouts(bundle).values()
         for layout, doc in zip(layouts, render(bundle, "csv"), strict=True):
-            header, rows = report._grid(layout, bundle.options.precision)
+            header = [*layout.keys, *layout.value_names]
+            rows = [[*map(str, keys), *["NA" if text is None else text
+                                        for text in report._rounded(values, places,
+                                                                    ROUND_HALF_UP)]]
+                    for keys, values in layout.rows]
             out = io.StringIO()
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)

@@ -10,7 +10,7 @@ from seasonstats import (AnalysisBundle, AnalysisOptions, CountMatrix, DataError
                          DescriptiveStats, MonthTable, NamedDocument,
                          SpectralPeak, describe, render)
 
-_COUNTS = {"years": (2012,), "counts": ((1,),) * 12, "outcome": "submitted"}
+_COUNTS = {"years": (2012,), "counts": ((1,),) * 12}
 
 # (type, valid fields in field order, field to break, bad value, error, message)
 VALIDATED = [
