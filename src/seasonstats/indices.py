@@ -6,8 +6,9 @@ months with no defined value; such entries are skipped.
 
 Every vector is read by `_floats`, which `normalize` and the footer
 statistics share: a negative entry, an int past the float range, NaN and
-+/-inf raise ValueError, and so does a sum of the entries past the float
-range wherever an index divides by it (`lorenz`, `gini`). Diversity orders
++/-inf raise ValueError, and so does a zero sum or a sum past the float
+range wherever the entries are divided by it (`lorenz`, `gini` and
+`normalize`), through one rule, `_total`. Diversity orders
 follow one rule, `_check_orders`, which `AnalysisOptions` calls too: NaN
 and ints past the float range, then negative orders, raise ValueError. A
 result that is not finite for finite entries (a -p ln p term, an entropy,
@@ -30,16 +31,18 @@ class IndexSummary(NamedTuple):
     gini: float
 
 
-def _floats(x: Vector, noun: str = "entries", distribution: bool = True) -> list:
+def _floats(x: Vector, distribution: bool = True) -> list:
     """The entries of x that are not None, as floats and in order: the one
     reader of number vectors for the indices, `normalize` and the footer
     statistics. Entries are read in order, and the first one that fails
     raises ValueError: a negative entry of a distribution (checked before
     its conversion) or an int past the float range; then NaN or +/-inf.
+    The messages name a distribution's "entries" and other vectors' "values".
 
     Two readers stay apart: `dft_magnitudes` takes a series, which has no
     None holes, and checks finiteness only once a magnitude is not finite,
     and `chi_square_uniform` takes counts by the count rule, `ingest._counts`."""
+    noun = "entries" if distribution else "values"
     out = []
     for v in x:
         if v is None:
@@ -209,7 +212,9 @@ def gini(z: Vector) -> float:
     return _gini(_defined(z))
 
 def _total(values: list) -> float:
-    """The sum of values, refused when it is zero or past the float range."""
+    """The sum of values, refused when it is zero or past the float range:
+    the divisor of `lorenz`, `gini` and `normalize`, which passes its entries
+    unconverted, so that ints keep an exact sum."""
     total = _left_sum(values)
     if total <= 0:
         raise ValueError("all entries are zero")

@@ -5,10 +5,9 @@ built from month totals across years. Share columns sum to 1; the
 conditional table holds per-cell accepted/submitted ratios, which do not,
 and marks a month with no submissions as undefined (None).
 """
-import math
 from typing import NamedTuple, Sequence
 
-from .indices import _floats, _left_sum
+from .indices import _floats, _total
 from .ingest import MONTHS_PER_YEAR, CountMatrix, DataError, _check_type
 
 
@@ -68,15 +67,12 @@ def conditional(submitted: CountMatrix, accepted: CountMatrix) -> MonthTable:
 def normalize(vector: Sequence[float | None]) -> tuple:
     """Scale a non-negative vector to shares summing to 1, preserving None.
 
-    The entries are checked as the indices check theirs, and summed as
-    given: ints keep an exact sum."""
+    The entries are checked as the indices check theirs, and divided by
+    their sum as given, by the indices' rule `_total`: ints keep an exact
+    sum, and a zero sum or one past the float range is refused."""
     try:
         _floats(vector)
+        total = _total([v for v in vector if v is not None])
     except ValueError as error:
         raise DataError(str(error)) from None
-    total = _left_sum([v for v in vector if v is not None])
-    if total <= 0:
-        raise DataError("cannot normalize: no positive entries")
-    if total == math.inf:
-        raise DataError("sum of entries overflows the float range")
     return tuple(None if v is None else v / total for v in vector)

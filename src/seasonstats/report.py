@@ -383,10 +383,7 @@ def _column_objects(rows, depth: int) -> list:
 def _json_columns(value_names, rows) -> str:
     """t1-t4: per column, its "months" rows and its "footer" rows."""
     months = _column_objects(rows[:MONTHS_PER_YEAR], 3)
-    # JSON footers list z and z_p last, after the band rows, where the grids
-    # put them after t_p; the JSON bytes are part of the contract
-    footers = _column_objects(sorted(rows[MONTHS_PER_YEAR:],
-                                     key=lambda row: row[0][0] in ("z", "z_p")), 3)
+    footers = _column_objects(rows[MONTHS_PER_YEAR:], 3)
     return _json_object([(label, _json_object([("months", m), ("footer", f)], 2))
                          for label, m, f in zip(value_names, months, footers)], 1)
 

@@ -106,7 +106,7 @@ def _standard_score(name: str, mean: float, k: float, spread: float, n: int) -> 
 
 def _moments(x: Sequence[float | None]) -> tuple:
     """(n, mean, sample standard deviation) of the defined values of x."""
-    values = _floats(x, "values", distribution=False)
+    values = _floats(x, distribution=False)
     if len(values) < 2:
         raise ValueError("need at least 2 values")
     return len(values), _mean(values), _stdev(values)
@@ -210,7 +210,7 @@ def t_one_sample(x: Sequence[float | None], k: float) -> TestResult:
 def z_one_sample(x: Sequence[float | None], k: float, sigma: float) -> TestResult:
     """One-sample z-test with known standard deviation sigma."""
     _check_sigma(sigma)  # refused before the values are read
-    values = _floats(x, "values", distribution=False)
+    values = _floats(x, distribution=False)
     if not values:
         raise ValueError("empty sample")
     return _z_test(len(values), _mean(values), k, sigma)

@@ -416,6 +416,11 @@ def test_overflowing_z_statistic_exits_1(tmp_path, capsys, sigma):
     # diversity passes the float range
     (None, "JSCS", ["--q", "0.9999999"],
      "t5_indices conditional, column 2012: diversity is not finite for this input"),
+    # one acceptance in 30 003 submissions is quoted 0.0000 at the four places
+    # of the index inputs, so the column has nothing to normalize
+    ("journal,year,month,submitted,accepted\n" + "".join(
+        f"J,2012,{m},{30000 + m},{int(m == 3)}\n" for m in range(1, 13)), "J", [],
+     "t5_indices conditional, column 2012: all entries are zero"),
     # the options refuse these with the texts of the library's checks
     (None, "JSCS", ["--q", "nan"],
      "diversity orders must not be NaN: an order that is not finite must be inf"),
@@ -425,8 +430,8 @@ def test_overflowing_z_statistic_exits_1(tmp_path, capsys, sigma):
     (None, "JSCS", ["--z-sigma=-inf", "--z-null", "0.08"], "z sigma value must be finite"),
     (None, "JSCS", ["--z-null", "nan", "--z-sigma", "1"], "z null value must be finite"),
     (None, "JSCS", ["--z-sigma", "1"], "z test needs both a sigma and a null value"),
-], ids=["negative-count", "q-near-1", "q-nan", "q-negative", "t-null-inf", "z-sigma-zero",
-        "z-sigma-minus-inf", "z-null-nan", "z-sigma-alone"])
+], ids=["negative-count", "q-near-1", "conditional-rounds-to-zero", "q-nan", "q-negative",
+        "t-null-inf", "z-sigma-zero", "z-sigma-minus-inf", "z-null-nan", "z-sigma-alone"])
 def test_refused_value_exits_1_with_its_message(tmp_path, capsys, counts, journal, flags,
                                                 message):
     path = DATA_DIR / "journal_counts.csv"

@@ -9,19 +9,29 @@ and the change it must make, or not make, in the output.
 - Renamed journal: a golden set's journal under another label, as counts
   or as events, gives the golden documents; only JSON's "journal" line
   changes, to the label as json.dumps writes it.
+- Permuted months: one permutation of the months of every year permutes
+  the t1-t4 month rows bit for bit, and leaves the footers and the t5
+  indices within a few ulps, as only the order of their float sums changes.
+- Reversed series: the chronological series read backwards has the same
+  DFT magnitudes, as reversing a real series turns X_k into a unit-modulus
+  multiple of its conjugate.
 """
 
 import csv
 import io
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from seasonstats import cli
-from seasonstats.ingest import aggregate, matrices_from_counts, parse_counts, parse_events
+from seasonstats.ingest import (MONTHS_PER_YEAR, aggregate, matrices_from_counts, parse_counts,
+                                parse_events)
 from seasonstats.report import FORMATS, AnalysisOptions, build_bundle, render
+from seasonstats.spectral import dft_magnitudes
 
 import refvalues as rv
 
@@ -138,11 +148,16 @@ def _renamed_inputs(rows, label, events_from_counts):
             "events": "\n".join([header, *mixed]) + "\n"}
 
 
+def _golden_rows(run):
+    input_name, journal, _ = rv.GOLDEN_RUNS[run]
+    return [row for row in parse_counts((DATA / input_name).read_text(encoding="utf-8-sig"))
+            if row[0] == journal]
+
+
 @pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
 def test_renamed_journal_changes_only_the_json_journal_line(events_from_counts, run):
-    input_name, journal, extra = rv.GOLDEN_RUNS[run]
-    rows = [row for row in parse_counts((DATA / input_name).read_text(encoding="utf-8-sig"))
-            if row[0] == journal]
+    _, journal, extra = rv.GOLDEN_RUNS[run]
+    rows = _golden_rows(run)
     golden_line = f'  "journal": {json.dumps(journal)},\n'
     for label in RENAMED_JOURNALS:
         for kind, text in _renamed_inputs(rows, label, events_from_counts).items():
@@ -159,3 +174,120 @@ def test_renamed_journal_changes_only_the_json_journal_line(events_from_counts, 
                                                 f'  "journal": {json.dumps(label)},\n')
                     assert doc.text == golden, (label, kind, doc.name, emit)
                 assert warnings == []
+
+
+def _analyzed_bundle(monkeypatch, run, rows):
+    """The bundle that the CLI arguments of a golden run build from `rows`
+    written as counts text, through the parser, ingest and options of
+    `cli._analyze`."""
+    _, journal, extra = rv.GOLDEN_RUNS[run]
+    args = cli.build_parser().parse_args(["--input", "-", "--format", "counts", "--journal",
+                                          journal, *extra])
+    text = "".join(map(_csv_line, [("journal", "year", "month", "submitted", "accepted"),
+                                   *rows]))
+    monkeypatch.setattr(cli, "render", lambda bundle, emit: bundle)
+    return cli._analyze(text, args, pytest.fail)
+
+
+def _ulps_apart(label, a, b):
+    # theil = ln N - H keeps the absolute error of H, so it is measured in
+    # ulps of ln 12, the largest ln N
+    scale = max(abs(a), abs(b), math.log(MONTHS_PER_YEAR) if label == "theil" else 0.0)
+    return abs(a - b) / math.ulp(scale)
+
+
+def _printed_cells(bundle):
+    """{(document, row keys, column label): text} of the footer and t5 rows
+    of the CSV documents; JSON and Markdown print the same rounded text."""
+    cells = {}
+    for doc in render(bundle, "csv"):
+        if doc.name == "t6_fourier":  # the DFT of a reordered series
+            continue
+        header, *rows = csv.reader(io.StringIO(doc.text))
+        keys = 2 if doc.name == "t5_indices" else 1
+        if keys == 1:
+            rows = rows[MONTHS_PER_YEAR:]
+        for row in rows:
+            for label, text in zip(header[keys:], row[keys:], strict=True):
+                cells[doc.name, tuple(row[:keys]), label] = text
+    return cells
+
+
+def _near_midpoint(x, places):
+    """Whether x lies within 4 ulps of a midpoint between two values of
+    `places` decimals."""
+    scaled = Fraction(x) * 10**places
+    gap = abs(scaled - math.floor(scaled) - Fraction(1, 2))
+    return gap <= 4 * Fraction(math.ulp(x)) * 10**places
+
+
+# the bound on every footer and t5 value; over 200 permutations of each
+# golden set the worst was 16 ulps, a D1
+PERMUTED_ULPS = 32
+# the only printed cells the month order may change: long's submitted Gini
+# for 2007 and 2018 lie an ulp below the midpoint 0.11526075 and 0.10819265
+# of their seventh decimal (0.11526074999999998, 0.10819264999999999), and a
+# reordered Gini sum moved one or both onto it in 110 of 200 permutations
+PERMUTED_CELLS = {("long", "t5_indices", ("submitted", "gini"), "2007"),
+                  ("long", "t5_indices", ("submitted", "gini"), "2018")}
+
+
+def _footer_and_index_values(bundle):
+    """(label, value) of every footer row of t1-t4 and every t5 index."""
+    columns = [column for field in ("submitted_footers", "accepted_footers",
+                                    "conditional_footers", "entropy_footers")
+               for column in getattr(bundle, field)]
+    columns += [column for _, block in bundle.index_blocks for column in block]
+    return [pair for column in columns for pair in column]
+
+
+@pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
+def test_permuted_months_permute_rows_and_keep_footers_and_indices(monkeypatch, run):
+    rows = _golden_rows(run)
+    base = _analyzed_bundle(monkeypatch, run, rows)
+    base_values, base_cells = _footer_and_index_values(base), _printed_cells(base)
+    rng = random.Random(f"permuted months {run}")
+    for _ in range(10):
+        order = rng.sample(range(MONTHS_PER_YEAR), MONTHS_PER_YEAR)
+        # month m + 1 of the input is month order[m] + 1 of the permuted one
+        bundle = _analyzed_bundle(monkeypatch, run, [(journal, year, order[month - 1] + 1, *pair)
+                                                     for journal, year, month, *pair in rows])
+        for field in ("submitted", "accepted", "conditional"):
+            table, base_table = getattr(bundle, field), getattr(base, field)
+            for m in range(MONTHS_PER_YEAR):
+                assert repr(table.per_year[order[m]]) == repr(base_table.per_year[m])
+                assert repr(table.cumulated[order[m]]) == repr(base_table.cumulated[m])
+        for terms, base_terms in zip(bundle.entropy_terms, base.entropy_terms, strict=True):
+            assert repr([terms[i] for i in order]) == repr(list(base_terms))
+        for (label, value), (base_label, base_value) in zip(
+                _footer_and_index_values(bundle), base_values, strict=True):
+            assert label == base_label
+            assert _ulps_apart(label, value, base_value) <= PERMUTED_ULPS, (label, order)
+        for key, text in _printed_cells(bundle).items():
+            if text != base_cells[key]:
+                assert (run, *key) in PERMUTED_CELLS, (key, text, base_cells[key], order)
+                _, (block, label), column = key
+                columns = dict(base.index_blocks)[block]
+                value = dict(columns[base.column_labels.index(column)])[label]
+                assert _near_midpoint(value, base.options.precision), key
+
+
+@pytest.mark.parametrize("run", sorted(rv.GOLDEN_RUNS))
+def test_reversed_series_keeps_the_dft_magnitudes(run):
+    rows = _golden_rows(run)
+    _, journal, _ = rv.GOLDEN_RUNS[run]
+    first, last = min(row[1] for row in rows), max(row[1] for row in rows)
+    # December of the last year becomes January of the first, and so on
+    reversed_rows = [(name, first + last - year, MONTHS_PER_YEAR + 1 - month, *pair)
+                     for name, year, month, *pair in rows]
+    matrices = matrices_from_counts(rows, journal)
+    for matrix, reversed_matrix in zip(matrices, matrices_from_counts(reversed_rows, journal),
+                                       strict=True):
+        assert reversed_matrix.series() == matrix.series()[::-1]
+        spectrum = dft_magnitudes(matrix.series())
+        reversed_spectrum = dft_magnitudes(reversed_matrix.series())
+        assert [f for f, _ in reversed_spectrum] == [f for f, _ in spectrum]
+        # the two FFTs round differently: 48 ulps at most on long, 19 on jscs
+        for (_, magnitude), (_, reversed_magnitude) in zip(spectrum, reversed_spectrum,
+                                                           strict=True):
+            assert reversed_magnitude == pytest.approx(magnitude, rel=1e-13, abs=0.0)

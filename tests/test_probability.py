@@ -93,7 +93,7 @@ def test_normalize_basic():
 
 
 def test_normalize_errors():
-    with pytest.raises(DataError, match="no positive entries"):
+    with pytest.raises(DataError, match="^all entries are zero$"):
         normalize((0.0, 0.0))
     with pytest.raises(DataError, match="negative"):
         normalize((0.5, -0.1))

@@ -12,7 +12,8 @@ index readers let them through, and the new one refuses them (see
 tests/test_contract.py).
 
 normalize is the one caller whose errors changed: it now raises the
-reader's messages as DataError, listed in `_NORMALIZE_REWORDED`, and reads
+reader's messages, and the zero sum of the indices' `_total`, as DataError,
+listed in `_NORMALIZE_REWORDED`, and reads
 its entries in order, so an int past the float range that comes before the
 first negative entry is named instead of that entry. The indices have since
 refused a result that is not finite, and the old terms of
@@ -103,6 +104,7 @@ def _normalize_reference(vector):
 _NORMALIZE_REWORDED = {
     "negative entry": "negative entry in distribution",
     "entries must be finite and within the float range": "entries must lie within the float range",
+    "cannot normalize: no positive entries": "all entries are zero",
 }
 
 
