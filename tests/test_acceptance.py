@@ -253,7 +253,7 @@ def test_criterion_8_properties(fixture_matrices):
         assert h < ln12  # real columns are never exactly uniform
         shuffled = list(col)
         rng.shuffle(shuffled)
-        assert abs(gini(shuffled) - gini(col)) <= 1e-12
+        assert gini(shuffled) == gini(col)
         assert abs(gini([7.3 * v for v in col]) - gini(col)) <= 1e-12
     assert entropy([1 / 12] * 12) == pytest.approx(ln12, abs=1e-12)
 

@@ -1,7 +1,9 @@
 """Entropy, diversity, and inequality indices."""
 
 import math
+import random
 import sys
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -219,20 +221,22 @@ def test_gini_known_values():
 
 
 def _gini_abs_reference(values):
-    """The n^2 mean-absolute-difference form with abs(), folded row by row from 0."""
+    """The n^2 mean-absolute-difference form with abs(), folded row by row from 0:
+    the exact Gini when values are Fractions."""
     total = reduce(add, values, 0)
     abs_diff = reduce(add, [abs(a - b) for a in values for b in values], 0)
-    return abs_diff / (2.0 * len(values) * total)
+    return abs_diff / (2 * len(values) * total)
 
 
 @given(st.lists(st.sampled_from((0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324))
-                | st.floats(0.0, 1e300), min_size=1, max_size=16))
-@example([0.0, -0.0, 0.5])
-@example([-0.0, 0.0, -0.0, 0.0, 2.0])
-@example([0.25, 0.25, 0.25, 0.25])
-@example([1e300, 1.7e308, 0.0])
-@example([5e-324, 1e-320, 0.0])
-def test_gini_is_the_abs_difference_form_bit_for_bit(values):
+                | st.floats(0.0, 1e300), min_size=1, max_size=16),
+       st.randoms(use_true_random=False))
+@example([0.0, -0.0, 0.5], random.Random(0))
+@example([-0.0, 0.0, -0.0, 0.0, 2.0], random.Random(0))
+@example([0.25, 0.25, 0.25, 0.25], random.Random(0))
+@example([1e300, 1.7e308, 0.0], random.Random(0))
+@example([5e-324, 1e-320, 0.0], random.Random(0))
+def test_gini_is_order_free_and_within_4_ulps_of_the_exact_gini(values, rng):
     if reduce(add, values, 0) <= 0:
         with pytest.raises(ValueError, match="all entries are zero"):
             gini(values)
@@ -240,7 +244,12 @@ def test_gini_is_the_abs_difference_form_bit_for_bit(values):
         with pytest.raises(ValueError, match="overflows the float range"):
             gini(values)
     else:
-        assert gini(values).hex() == _gini_abs_reference(values).hex()
+        g = gini(values)
+        assert gini(rng.sample(values, len(values))).hex() == g.hex()
+        exact = _gini_abs_reference([Fraction(v) for v in values])
+        assert abs(Fraction(g) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+        if len(set(values)) == 1:  # as [0.25] * 4: the rank terms cancel exactly
+            assert g.hex() == (0.0).hex()
 
 
 def test_gini_scale_invariant():

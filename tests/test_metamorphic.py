@@ -226,8 +226,11 @@ def _near_midpoint(x, places):
 PERMUTED_ULPS = 32
 # the only printed cells the month order may change: long's submitted Gini
 # for 2007 and 2018 lie an ulp below the midpoint 0.11526075 and 0.10819265
-# of their seventh decimal (0.11526074999999998, 0.10819264999999999), and a
-# reordered Gini sum moved one or both onto it in 110 of 200 permutations
+# of their seventh decimal (0.11526074999999998, 0.10819264999999999). The
+# Gini itself is order-free; what moves it is `normalize`, which divides the
+# rounded shares by their total folded in month order. That moved one or
+# both cells in 37 of 200 permutations (123 of 200 when the Gini was also
+# summed in month order), and in none with the total summed exactly
 PERMUTED_CELLS = {("long", "t5_indices", ("submitted", "gini"), "2007"),
                   ("long", "t5_indices", ("submitted", "gini"), "2018")}
 

@@ -484,8 +484,9 @@ def _fold(terms):
 def test_float_sums_are_left_folds():
     # builtin sum compensates float sums from Python 3.12 on, where
     # sum([1e16, 1.0, -1e16]) is 1.0 and not 0.0; every sum behind the
-    # documents adds left to right from 0, so their bytes do not depend on
-    # the version. Each case tells that fold from the exactly rounded sum.
+    # documents adds left to right from 0 or is an exact math.fsum, so their
+    # bytes do not depend on the version. Each case tells the sum it uses
+    # from the other.
     assert _left_sum([1e16, 1.0, -1e16]) == 0.0 != math.fsum([1e16, 1.0, -1e16])
     # the fold starts from the int 0, so a lone -0.0 sums to +0.0
     assert math.copysign(1.0, _left_sum([-0.0])) == 1.0
@@ -501,9 +502,15 @@ def test_float_sums_are_left_folds():
     hill = [math.exp((2.0 * math.log(0.8) + math.log(total)) / -1.0)
             for total in (_fold(terms), math.fsum(terms))]
     assert diversity(p, 2.0) == hill[0] != hill[1]
-    p = [0.9, 0.7, 0.4, 0.6]
+    # the Gini numerator is an exact fsum of its rank terms, over the fold of
+    # the sorted values; it is neither the n^2 pair fold nor the fold of its terms
+    p = [0.9, 0.9, 0.9, 0.1]
+    ranked = sorted(p)
+    terms = [(2 * i - 3) * v for i, v in enumerate(ranked)]
     diffs = [abs(a - b) for a in p for b in p]
-    assert gini(p) == _fold(diffs) / (2.0 * 4 * _fold(p)) != math.fsum(diffs) / (8.0 * math.fsum(p))
+    assert gini(p) == 2.0 * math.fsum(terms) / (2.0 * 4 * _fold(ranked))
+    assert gini(p) != _fold(diffs) / (2.0 * 4 * _fold(p))
+    assert gini(p) != 2.0 * _fold(terms) / (2.0 * 4 * _fold(ranked))
     assert lorenz([0.3, 0.1, 0.2])[1] == (1 / 3, 0.1 / _fold([0.1, 0.2, 0.3])) != (1 / 3, 0.1 / 0.6)
     # chi-square is no float sum: (n·Σo² − T²)/T from the integer counts is
     # 139/17 rounded once, where the fold of the float terms is 1 ulp above
